@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import NoColorError, NoMassError, UsageError
+from .errors import NoMassError, UsageError
 from .geometry import dist as _dist
-from .hashing import ConsistentHash
+from .hashing import ConsistentHash, hash_level
 from .params import Params
 
 
@@ -48,32 +48,20 @@ class AssignmentStructure:
         self.d2w = {}           # (i, z) in H' -> scale2[i] * w_H
         self.d2_total = 0.0
         self.nocolor_events = 0
-        self.bucket_touches = 0   # measured update cost, in bucket operations
 
     # -- hashing helpers ----------------------------------------------------
-
-    def _all_cells(self, p):
-        for attempt in range(5):
-            try:
-                cells = [p]
-                for i in range(1, self.m + 1):
-                    cells.append(self.hashes[i].eval(p))
-                return cells
-            except NoColorError:
-                self.nocolor_events += 1
-                self._rebuild()
-        raise NoColorError(f"hash family keeps failing near {p}")
 
     def _footprint(self, i, s):
         if i == 0:
             return (s,)
         return tuple(self.hashes[i].ball_buckets(s))
 
-    def _rebuild(self):
-        """Resample every hash level and replay the registry (rare)."""
-        for h in self.hashes.values():
-            h.resample()
-        pts = [(k, p, w) for k, (p, w, _) in self.points.items()]
+    def _level_items(self, i):
+        return [(k, p) for k, (p, _, _) in self.points.items()]
+
+    def _install_level(self, i, cells):
+        """Replay every center and point with level i's new values (rare)."""
+        pts = [(k, p, w, where) for k, (p, w, where) in self.points.items()]
         centers = list(self.centers)
         self.points.clear(); self.point_w.clear(); self.X_pre.clear()
         self.low.clear(); self.S_close.clear(); self.f.clear()
@@ -82,8 +70,9 @@ class AssignmentStructure:
         self.d2_total = 0.0
         for s in centers:
             self.center_insert(s)
-        for k, p, w in pts:
-            self.point_insert(k, p, w)
+        for k, p, w, where in pts:
+            where[i] = cells[k]
+            self._point_add(k, p, w, where)
 
     # -- aggregate maintenance ------------------------------------------------
 
@@ -155,8 +144,10 @@ class AssignmentStructure:
         if w < 0:
             raise UsageError("negative weight")
         p = tuple(p)
-        cells = self._all_cells(p)
-        self.bucket_touches += 2 * self.m + 1
+        cells = [p] + [hash_level(self, i, p) for i in range(1, self.m + 1)]
+        self._point_add(key, p, w, cells)
+
+    def _point_add(self, key, p, w, cells):
         self.points[key] = (p, w, cells)
         self.point_w[p] = self.point_w.get(p, 0.0) + w
         if p in self.centers:
@@ -225,7 +216,6 @@ class AssignmentStructure:
         for i in range(self.m + 1):
             fp = self._footprint(i, s)
             fps[i] = fp
-            self.bucket_touches += len(fp)
             for z in fp:
                 key = (i, z)
                 close = self.S_close.get(key)
@@ -247,7 +237,6 @@ class AssignmentStructure:
             raise UsageError(f"unknown center {s!r}")
         fps = self.centers.pop(s)
         for i in range(self.m + 1):
-            self.bucket_touches += len(fps[i])
             for z in fps[i]:
                 key = (i, z)
                 close = self.S_close.get(key)

@@ -20,7 +20,8 @@ from .geometry import WeightedSet, dist
 from .params import Params, schedule_for
 from .range_query import BallOneMeans, CenterIndex, MomentSummary
 from .rng import make_rng
-from .subroutines import augmented_kmeans, restricted_kmeans, static_weighted_kmeans
+from .subroutines import (ClusterContext, augmented_kmeans, restricted_kmeans,
+                          static_weighted_kmeans)
 
 
 @dataclass
@@ -41,46 +42,11 @@ class MakeRobustRecord:
     steps: list = field(default_factory=list)
 
 
-class _CtxAdapter:
-    """Surface the restricted/augmented subroutines expect, bound to the
-    controller's live structures."""
+class DynamicKMeans(ClusterContext):
+    """The epoch controller over its own center structures; center_add and
+    center_remove also keep the center set, the robustness levels and
+    certificates, and the yellow queue in step."""
 
-    def __init__(self, dk: "DynamicKMeans"):
-        self.dk = dk
-        self._saved_tags = {}
-
-    def centers(self):
-        return list(self.dk.struct_centers)
-
-    def weight(self, s):
-        return self.dk.assign.weight(s)
-
-    def ordering(self):
-        return self.dk.assign.ordering(self.dk.nbr.dhat)
-
-    def ann_query(self, x):
-        return self.dk.cent.ann_query(x)
-
-    def ann_temp_delete(self, batch):
-        for s in batch:
-            self._saved_tags[s] = self.dk.cent.tag_of(s)
-            self.dk.cent.delete(s)
-
-    def ann_restore(self, batch):
-        for s in batch:
-            self.dk.cent.insert(s, tag=self._saved_tags.pop(s, None))
-
-    def d2_sample(self, rng):
-        return self.dk.assign.d2_sample(rng)[1]
-
-    def scratch_center_add(self, s):
-        self.dk._center_add(s, tag=None)
-
-    def scratch_center_remove(self, s):
-        self.dk._center_remove(s)
-
-
-class DynamicKMeans:
     def __init__(self, params: Params, k: int, seed_tag="dk", witness: bool = False,
                  sched=None):
         if k < 1:
@@ -91,12 +57,13 @@ class DynamicKMeans:
         self.witness = witness
         self.rng = make_rng(params.seed, "controller", seed_tag)
 
+        super().__init__(
+            AssignmentStructure(params, seed_tag=(seed_tag, "assign")),
+            CenterIndex(params, (seed_tag, "nbr"), track_dist=True,
+                        gammas=self.sched.indicator_gammas),
+            CenterIndex(params, (seed_tag, "cent")))
         self.X = WeightedSet(params.d, mirror=True)
-        self.assign = AssignmentStructure(params, seed_tag=(seed_tag, "assign"))
         self.ball1m = BallOneMeans(params, seed_tag=(seed_tag, "b1m"))
-        self.nbr = CenterIndex(params, (seed_tag, "nbr"), track_dist=True,
-                               gammas=self.sched.indicator_gammas)
-        self.cent = CenterIndex(params, (seed_tag, "cent"))
 
         self.struct_centers: set = set()
         self.S_out: set = set()
@@ -150,19 +117,15 @@ class DynamicKMeans:
                 self.yellow_set.add(s)
                 self.yellow.append(s)
 
-    def _center_add(self, s, tag=None):
+    def center_add(self, s, tag=None):
         s = tuple(s)
-        self.assign.center_insert(s)
-        self.nbr.insert(s)
-        self.cent.insert(s, tag=tag)
+        super().center_add(s, tag)
         self.struct_centers.add(s)
         self._pump_yellow()
 
-    def _center_remove(self, s):
+    def center_remove(self, s):
         s = tuple(s)
-        self.assign.center_delete(s)
-        self.nbr.delete(s)
-        self.cent.delete(s)
+        super().center_remove(s)
         self.struct_centers.discard(s)
         self.t_of.pop(s, None)
         self.certs.pop(s, None)
@@ -185,6 +148,16 @@ class DynamicKMeans:
     # --------------------------------------------------------------- updates
 
     def update(self, op: str, key, point=None, weight=1.0) -> UpdateReport:
+        if op == "insert":
+            if key in self.X:
+                raise UsageError(f"duplicate id {key!r}")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise UsageError(f"weight must be finite and >= 0, got {weight!r}")
+        elif op == "delete":
+            if key not in self.X:
+                raise UsageError(f"unknown id {key!r}")
+        else:
+            raise UsageError(f"unknown op {op!r}")
         report = UpdateReport()
         s_before = frozenset(self.S_out)
         clock = time.perf_counter_ns
@@ -199,16 +172,12 @@ class DynamicKMeans:
             self.X.insert(key, point, weight)
             self.assign.point_insert(key, point, weight)
             self.ball1m.insert(key, point, weight)
-        elif op == "delete":
-            if key not in self.X:
-                raise UsageError(f"unknown id {key!r}")
+        else:
             point, _w = self.X.get(key)
             self._touch(point)
             self.X.delete(key)
             self.assign.point_delete(key)
             self.ball1m.delete(key)
-        else:
-            raise UsageError(f"unknown op {op!r}")
         self.time_points_ns += clock() - t0
 
         mr_before = self.makerobust_cum
@@ -251,7 +220,7 @@ class DynamicKMeans:
         seed = static_weighted_kmeans(pts, ws, self.k, self.rng)
         for s in seed:
             if s not in self.struct_centers:
-                self._center_add(s)
+                self.center_add(s)
         self._robustify(fresh=set(self.struct_centers), contaminated=set())
         self.S_out = set(self.struct_centers)
         self.active = True
@@ -259,7 +228,7 @@ class DynamicKMeans:
 
     def _deactivate(self):
         for s in sorted(self.struct_centers):
-            self._center_remove(s)
+            self.center_remove(s)
         self.yellow.clear()
         self.yellow_set.clear()
         self.S_out = set(self.X.distinct_points())
@@ -272,7 +241,7 @@ class DynamicKMeans:
         self.S_init = frozenset(self.struct_centers)
         self.ell_hat, self.ell = self._estimate_ell()
         if self.ell >= 1:
-            removed = restricted_kmeans(_CtxAdapter(self), self.ell, self.rng)
+            removed = restricted_kmeans(self, self.ell, self.rng)
             self.S_out -= removed
         self.epoch_updates = 0
         self.start_counts = {}
@@ -290,7 +259,7 @@ class DynamicKMeans:
             s_i = 1 << i
             if s_i > limit:
                 break
-            removed = restricted_kmeans(_CtxAdapter(self), s_i, self.rng)
+            removed = restricted_kmeans(self, s_i, self.rng)
             cost_i = self.X.cost(s_init - removed)
             if cost_i > stop * base:
                 break
@@ -319,19 +288,18 @@ class DynamicKMeans:
                 if u is not None and dist(x, u) <= radius:
                     contaminated.add(u)
 
-        ctx = _CtxAdapter(self)
         a = max(1, math.ceil(sched.augment_per_update * (self.ell + 1)))
-        augmented_kmeans(ctx, a, sched.d2_samples, self.rng, keep=True)
+        augmented_kmeans(self, a, sched.d2_samples, self.rng, keep=True)
         for p in x_plus:
             if p not in self.struct_centers:
-                self._center_add(p, tag=None)
+                self.center_add(p, tag=None)
 
         t_prime = set(self.struct_centers)
         r = len(t_prime) - self.k
         if r >= 1:
-            removed = restricted_kmeans(ctx, r, self.rng)
+            removed = restricted_kmeans(self, r, self.rng)
             for s in sorted(removed):
-                self._center_remove(s)
+                self.center_remove(s)
         w_prime = set(self.struct_centers)
         assert len(w_prime) <= self.k
 
@@ -400,12 +368,12 @@ class DynamicKMeans:
             x = nxt
         v = x
         if v != u:
-            self._center_remove(u)
+            self.center_remove(u)
             if v in self.struct_centers:
                 t = max(t, self.t_of.get(v, 0))
                 self.cent.retag(v, t)
             else:
-                self._center_add(v, tag=t)
+                self.center_add(v, tag=t)
         else:
             self.cent.retag(u, t)
         self.t_of[v] = t

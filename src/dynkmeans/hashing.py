@@ -24,6 +24,10 @@ OVER_CAP = object()
 
 _CACHE_LIMIT = 400_000
 
+# Hash families a structure tries, after the one that failed, before it gives
+# up on a NoColor event.
+NOCOLOR_ATTEMPTS = 5
+
 
 @dataclass(frozen=True)
 class WeakHash:
@@ -43,24 +47,6 @@ class WeakHash:
         shift = self.shift
         return tuple(math.floor((x[j] + shift[j]) / cell)
                      for j in range(len(x)))
-
-    def cell_ranges(self, z):
-        """Per-coordinate grid-integer range [lo, hi] of cell z, clamped to
-        [1, delta]; None when the cell holds no grid point."""
-        out = []
-        cell = self.cell
-        delta = self.delta
-        for zj, vj in zip(z, self.shift):
-            lo = math.ceil(zj * cell - vj)
-            hi = math.ceil((zj + 1) * cell - vj) - 1
-            if lo < 1:
-                lo = 1
-            if hi > delta:
-                hi = delta
-            if lo > hi:
-                return None
-            out.append((lo, hi))
-        return out
 
     def cell_dist2(self, x, z) -> float:
         """Squared distance from x to the grid points of cell z (inf if empty)."""
@@ -246,3 +232,39 @@ class ConsistentHash:
             self._bucket_cache.clear()
         self._bucket_cache[key] = out
         return out
+
+
+def hash_level(owner, i, x):
+    """Hash value of x at level i of `owner`, the one NoColor recovery policy.
+
+    `owner` is a structure over a `hashes` dict of ConsistentHash levels; it
+    keeps a `nocolor_events` counter and provides `_level_items(i)`, the
+    (key, point) pairs currently hashed at level i, and
+    `_install_level(i, cells)`, which rebuilds level i from a key -> value map.
+
+    When the level's family fails on x, it is resampled and every item of the
+    level is rehashed together with x; the level is rebuilt only once all of
+    them hash. A further failure while rehashing resamples again. After
+    NOCOLOR_ATTEMPTS resamples the original family is restored, the level is
+    left as it was, and NoColorError propagates.
+    """
+    h = owner.hashes[i]
+    try:
+        return h.eval(x)
+    except NoColorError:
+        pass
+    start = h.attempt
+    items = owner._level_items(i)
+    for _ in range(NOCOLOR_ATTEMPTS):
+        owner.nocolor_events += 1
+        h.resample()
+        try:
+            cells = {key: h.eval(p) for key, p in items}
+            z = h.eval(x)
+        except NoColorError:
+            continue
+        owner._install_level(i, cells)
+        return z
+    h._sample(start)
+    raise NoColorError(f"level {i}: no hash family in {NOCOLOR_ATTEMPTS} "
+                       f"resamples admits {x}")

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NoColorError, UsageError
-from .hashing import ConsistentHash
+from .errors import UsageError
+from .hashing import ConsistentHash, hash_level
 from .params import Params
 
 INF = math.inf
@@ -125,32 +125,26 @@ class RangeIndex:
     def __len__(self):
         return len(self.registry)
 
-    def _eval(self, i: int, p):
-        while True:
-            try:
-                return self.hashes[i].eval(p)
-            except NoColorError:
-                self.nocolor_events += 1
-                self._rebuild_level(i)
+    def _level_items(self, i: int):
+        return [(key, p) for key, (p, _, _) in self.registry.items()]
+
+    def _install_level(self, i: int, cells):
+        self.buckets[i] = {}
+        for key, z in cells.items():
+            p, w, where = self.registry[key]
+            where[i] = z
+            self._bucket_add(i, z, key, p, w)
 
     def _materialize(self, i: int):
         if i in self.buckets:
             return
-        self.buckets[i] = {}
-        for key, (p, w, cells) in self.registry.items():
-            z = self._eval(i, p)
-            cells[i] = z
-            self._bucket_add(i, z, key, p, w)
-
-    def _rebuild_level(self, i: int):
-        self.hashes[i].resample()
-        if i not in self.buckets:
-            return
-        self.buckets[i] = {}
-        for key, (p, w, cells) in self.registry.items():
-            z = self.hashes[i].eval(p)  # second failure propagates
-            cells[i] = z
-            self._bucket_add(i, z, key, p, w)
+        cells = {}
+        for key, (p, _, _) in self.registry.items():
+            z = hash_level(self, i, p)
+            if i in self.buckets:       # a NoColor recovery built the level
+                return
+            cells[key] = z
+        self._install_level(i, cells)
 
     def _bucket_add(self, i, z, key, p, w):
         b = self.buckets[i].get(z)
@@ -170,11 +164,9 @@ class RangeIndex:
     def insert(self, key, p, w: float):
         if key in self.registry:
             raise UsageError(f"duplicate id {key!r}")
-        cells = {}
+        cells = {i: hash_level(self, i, p) for i in self.buckets}
         self.registry[key] = (p, w, cells)
-        for i in self.buckets:
-            z = self._eval(i, p)
-            cells[i] = z
+        for i, z in cells.items():
             self._bucket_add(i, z, key, p, w)
         b = self.exact.get(p)
         if b is None:
@@ -317,33 +309,25 @@ class CenterIndex:
     def __iter__(self):
         return iter(self.centers)
 
-    def _eval(self, i, p):
-        while True:
-            try:
-                return self.hashes[i].eval(p)
-            except NoColorError:
-                self.nocolor_events += 1
-                self._rebuild_level(i)
-
     def _footprint(self, i, p):
         # bucket enumeration skips overflowing colors instead of failing
         return tuple(self.hashes[i].ball_buckets(p, radius=float(1 << i)))
 
-    def _rebuild_level(self, i):
-        self.hashes[i].resample()
+    def _level_items(self, i):
+        return [(s, s) for s in self.centers]
+
+    def _install_level(self, i, cells):
         self.cells[i] = {}
+        for s, z in cells.items():
+            self.centers[s]["cells"][i] = z
+            self.cells[i].setdefault(z, set()).add(s)
         if self.track_dist:
             self.listen[i] = {}
-        for s, info in self.centers.items():
-            z = self.hashes[i].eval(s)
-            info["cells"][i] = z
-            self.cells[i].setdefault(z, set()).add(s)
-            if self.track_dist:
+            for s in self.centers:
                 fp = self._footprint(i, s)
                 self.footprints[s][i] = fp
                 for c in fp:
                     self.listen[i].setdefault(c, set()).add(s)
-        if self.track_dist:
             for s in self.centers:
                 self._set_bit(s, i, self._probe_bit(s, i))
 
@@ -411,11 +395,10 @@ class CenterIndex:
         s = tuple(s)
         if s in self.centers:
             raise UsageError(f"duplicate center {s!r}")
-        info = {"tag": tag, "cells": {}}
+        info = {"tag": tag,
+                "cells": {i: hash_level(self, i, s) for i in self.hashes}}
         self.centers[s] = info
-        for i in self.hashes:
-            z = self._eval(i, s)
-            info["cells"][i] = z
+        for i, z in info["cells"].items():
             self.cells[i].setdefault(z, set()).add(s)
         if self.track_dist:
             self.bits[s] = bytearray(self.L + 1)

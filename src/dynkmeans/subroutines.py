@@ -143,43 +143,43 @@ def static_weighted_kmeans(points, weights, k: int, rng, max_swaps=None):
 
 
 class ClusterContext:
-    """Static (X, S) wrapper exposing the structure surface the restricted
-    and augmented subroutines need; the dynamic controller exposes the same
-    surface against its live structures."""
+    """The center-side structures the restricted and augmented subroutines
+    run against: the assignment structure, the distance-tracking center
+    index `nbr` (importance ordering) and the ANN index `cent`, kept in step
+    by center_add and center_remove. The epoch controller extends it with
+    its own bookkeeping; from_instance builds a static (X, S) instance."""
 
-    def __init__(self, params: Params, seed_tag="ctx"):
-        self.params = params
-        self.assign = AssignmentStructure(params, seed_tag=(seed_tag, "as"))
-        self.ann = CenterIndex(params, (seed_tag, "ann"))
-        self.nbr = CenterIndex(params, (seed_tag, "nbr"), track_dist=True)
-        self._next = 0
+    def __init__(self, assign: AssignmentStructure, nbr: CenterIndex,
+                 cent: CenterIndex):
+        self.assign = assign
+        self.nbr = nbr
+        self.cent = cent
+        self._saved_tags = {}
 
     @classmethod
-    def from_instance(cls, params, points_weights, centers, seed_tag="ctx"):
-        ctx = cls(params, seed_tag)
+    def from_instance(cls, params: Params, points_weights, centers,
+                      seed_tag="ctx"):
+        ctx = cls(AssignmentStructure(params, seed_tag=(seed_tag, "as")),
+                  CenterIndex(params, (seed_tag, "nbr"), track_dist=True),
+                  CenterIndex(params, (seed_tag, "ann")))
         for s in centers:
-            ctx.center_add(tuple(s))
-        for p, w in points_weights:
-            ctx.point_add(tuple(p), w)
+            ctx.center_add(s)
+        for key, (p, w) in enumerate(points_weights):
+            ctx.assign.point_insert(key, tuple(p), w)
         return ctx
 
-    def point_add(self, p, w):
-        key = self._next
-        self._next += 1
-        self.assign.point_insert(key, p, w)
-        return key
-
-    def center_add(self, s):
+    def center_add(self, s, tag=None):
+        s = tuple(s)
         self.assign.center_insert(s)
-        self.ann.insert(s)
         self.nbr.insert(s)
+        self.cent.insert(s, tag=tag)
 
     def center_remove(self, s):
+        s = tuple(s)
         self.assign.center_delete(s)
-        self.ann.delete(s)
         self.nbr.delete(s)
+        self.cent.delete(s)
 
-    # surface used by the subroutines
     def centers(self):
         return list(self.assign.centers)
 
@@ -190,21 +190,19 @@ class ClusterContext:
         return self.assign.ordering(self.nbr.dhat)
 
     def ann_query(self, x):
-        return self.ann.ann_query(x)
+        return self.cent.ann_query(x)
 
     def ann_temp_delete(self, batch):
         for s in batch:
-            self.ann.delete(s)
+            self._saved_tags[s] = self.cent.tag_of(s)
+            self.cent.delete(s)
 
     def ann_restore(self, batch):
         for s in batch:
-            self.ann.insert(s)
+            self.cent.insert(s, tag=self._saved_tags.pop(s, None))
 
     def d2_sample(self, rng):
         return self.assign.d2_sample(rng)[1]
-
-    scratch_center_add = center_add
-    scratch_center_remove = center_remove
 
 
 def restricted_kmeans(ctx, r: int, rng):
@@ -273,10 +271,10 @@ def augmented_kmeans(ctx, a: int, t: int, rng, keep: bool = False):
                     fresh.append(p)
                     added_set.add(p)
             for p in fresh:
-                ctx.scratch_center_add(p)
+                ctx.center_add(p)
                 added.append(p)
     finally:
         if not keep:
             for p in reversed(added):
-                ctx.scratch_center_remove(p)
+                ctx.center_remove(p)
     return added

@@ -299,14 +299,16 @@ def verify_sparsifier(seed=0):
     return out
 
 
-def verify_lemmas(seed=0):
-    out = []
-    rng = make_rng(seed, "verify-lemmas")
+def check_lemmas(rng, instances: int):
+    """Projection and lazy-update lemmas against the exact oracles on
+    `instances` random small instances each; returns the two violation
+    counts."""
     proj_bad = lazy_bad = 0
-    for _ in range(60):
+    for _ in range(instances):
         n = rng.randint(4, 8)
         k = rng.randint(1, 3)
-        pw = [((rng.randint(1, 32), rng.randint(1, 32)), 1.0) for _ in range(n)]
+        pw = [((rng.randint(1, 32), rng.randint(1, 32)), 1.0)
+              for _ in range(n)]
         C = set()
         while len(C) < k + rng.randint(0, 2):
             C.add((rng.randint(1, 32), rng.randint(1, 32)))
@@ -314,19 +316,27 @@ def verify_lemmas(seed=0):
         opt_restr = opt_kmeans_restricted_exact(pw, C, min(k, len(C)))
         if opt_restr > 2 * cost(pw, C) + 8 * opt_k + 1e-6:
             proj_bad += 1
+    for _ in range(instances):
+        n = rng.randint(4, 8)
+        k = rng.randint(1, 3)
         s = rng.randint(1, 2)
+        pw = [((rng.randint(1, 32), rng.randint(1, 32)), 1.0)
+              for _ in range(n)]
         pw2 = list(pw)
         for _ in range(s):
             if pw2 and rng.random() < 0.5:
                 pw2.pop(rng.randrange(len(pw2)))
             else:
                 pw2.append(((rng.randint(1, 32), rng.randint(1, 32)), 1.0))
-        if len(pw2) <= 12:
-            if opt_kmeans_exact(pw2, k + s) > opt_k + 1e-6:
-                lazy_bad += 1
-    out.append(("lemmas.projection", proj_bad == 0, f"violations: {proj_bad}"))
-    out.append(("lemmas.lazy_updates", lazy_bad == 0, f"violations: {lazy_bad}"))
-    return out
+        if opt_kmeans_exact(pw2, k + s) > opt_kmeans_exact(pw, k) + 1e-6:
+            lazy_bad += 1
+    return proj_bad, lazy_bad
+
+
+def verify_lemmas(seed=0):
+    proj_bad, lazy_bad = check_lemmas(make_rng(seed, "verify-lemmas"), 60)
+    return [("lemmas.projection", proj_bad == 0, f"violations: {proj_bad}"),
+            ("lemmas.lazy_updates", lazy_bad == 0, f"violations: {lazy_bad}")]
 
 
 def run_suite(name: str, seed: int = 0, **kw):

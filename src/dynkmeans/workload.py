@@ -7,6 +7,7 @@ comments. Serialization round-trips byte-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import UsageError
@@ -35,6 +36,7 @@ class UpdateStream:
 
     @staticmethod
     def parse(text: str) -> "UpdateStream":
+        """Parse the stream format; any malformed line is a UsageError."""
         header = None
         records = []
         live = set()
@@ -43,16 +45,28 @@ class UpdateStream:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "H":
-                kv = dict(p.split("=", 1) for p in parts[1:])
-                header = UpdateStream(d=int(kv["d"]), delta=int(kv["delta"]),
-                                      n=int(kv["n"]), k_hint=int(kv["k"]))
-            elif parts[0] == "I":
-                if header is None:
-                    raise UsageError(f"line {lineno}: record before header")
+            kind = parts[0]
+            if kind not in ("H", "I", "D"):
+                raise UsageError(f"line {lineno}: unknown record {kind!r}")
+            if kind != "H" and header is None:
+                raise UsageError(f"line {lineno}: record before header")
+            try:
+                if kind == "H":
+                    kv = dict(p.split("=", 1) for p in parts[1:])
+                    header = UpdateStream(d=int(kv["d"]), delta=int(kv["delta"]),
+                                          n=int(kv["n"]), k_hint=int(kv["k"]))
+                    continue
                 key = int(parts[1])
-                w = float(parts[2])
-                point = tuple(int(c) for c in parts[3:])
+                if kind == "I":
+                    w = float(parts[2])
+                    point = tuple(int(c) for c in parts[3:])
+            except (KeyError, IndexError, ValueError):
+                raise UsageError(f"line {lineno}: malformed {kind!r} record: "
+                                 f"{line!r}") from None
+            if kind == "I":
+                if not (math.isfinite(w) and w >= 0):
+                    raise UsageError(f"line {lineno}: weight must be finite "
+                                     f"and >= 0")
                 if len(point) != header.d:
                     raise UsageError(f"line {lineno}: bad dimension")
                 if any(c < 1 or c > header.delta for c in point):
@@ -61,14 +75,11 @@ class UpdateStream:
                     raise UsageError(f"line {lineno}: duplicate live id {key}")
                 live.add(key)
                 records.append(("I", key, w, point))
-            elif parts[0] == "D":
-                key = int(parts[1])
+            else:
                 if key not in live:
                     raise UsageError(f"line {lineno}: delete of dead id {key}")
                 live.discard(key)
                 records.append(("D", key))
-            else:
-                raise UsageError(f"line {lineno}: unknown record {parts[0]!r}")
         if header is None:
             raise UsageError("missing header")
         header.records = records

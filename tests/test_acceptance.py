@@ -10,8 +10,7 @@ from dynkmeans.assignment import AssignmentStructure
 from dynkmeans.controller import DynamicKMeans, validate_certificate
 from dynkmeans.errors import NoColorError
 from dynkmeans.geometry import (brute_nn, brute_opt_augmented,
-                                brute_opt_restricted, cost, dist,
-                                opt_kmeans_exact, opt_kmeans_restricted_exact)
+                                brute_opt_restricted, cost, dist)
 from dynkmeans.hashing import ConsistentHash
 from dynkmeans.params import Params, schedule_for
 from dynkmeans.range_query import BallOneMeans, CenterIndex
@@ -20,6 +19,7 @@ from dynkmeans.sparsifier import SparsifiedRunner
 from dynkmeans.subroutines import (ClusterContext, augmented_kmeans,
                                    restricted_kmeans)
 from dynkmeans.harness import run_stream, time_naive_recompute
+from dynkmeans.verify import check_lemmas
 from dynkmeans.workload import gen_workload
 
 
@@ -499,34 +499,7 @@ def test_criterion_16_sparsified_wrapper():
 
 
 def test_criterion_17_lemma_oracles():
-    rng = make_rng(17, "lemmas")
-    proj_bad = lazy_bad = 0
-    for _ in range(200):
-        n = rng.randint(4, 8)
-        k = rng.randint(1, 3)
-        pw = [((rng.randint(1, 32), rng.randint(1, 32)), 1.0)
-              for _ in range(n)]
-        C = set()
-        while len(C) < k + rng.randint(0, 2):
-            C.add((rng.randint(1, 32), rng.randint(1, 32)))
-        opt_k = opt_kmeans_exact(pw, k)
-        opt_restr = opt_kmeans_restricted_exact(pw, C, min(k, len(C)))
-        if opt_restr > 2 * cost(pw, C) + 8 * opt_k + 1e-6:
-            proj_bad += 1
-    for _ in range(200):
-        n = rng.randint(4, 8)
-        k = rng.randint(1, 3)
-        s = rng.randint(1, 2)
-        pw = [((rng.randint(1, 32), rng.randint(1, 32)), 1.0)
-              for _ in range(n)]
-        pw2 = list(pw)
-        for _ in range(s):
-            if pw2 and rng.random() < 0.5:
-                pw2.pop(rng.randrange(len(pw2)))
-            else:
-                pw2.append(((rng.randint(1, 32), rng.randint(1, 32)), 1.0))
-        if opt_kmeans_exact(pw2, k + s) > opt_kmeans_exact(pw, k) + 1e-6:
-            lazy_bad += 1
+    proj_bad, lazy_bad = check_lemmas(make_rng(17, "lemmas"), 200)
     report(17, "lemma oracles", proj_bad == 0 and lazy_bad == 0,
            f"projection violations={proj_bad} lazy-update violations={lazy_bad} "
            f"(200 instances each)")

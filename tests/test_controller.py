@@ -50,6 +50,21 @@ def test_unknown_ops_and_ids():
         dk.update("insert", 1, (6, 6), 1.0)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+def test_bad_weight_rejected_before_any_state_change(weight):
+    dk = DynamicKMeans(P, 3)
+    for i, p in enumerate([(10, 10), (50, 50), (100, 100), (200, 200)]):
+        dk.update("insert", i, p, 1.0)
+    assert dk.active and not dk.epoch_live   # the next update starts an epoch
+    rng_state = dk.rng.getstate()
+    with pytest.raises(UsageError):
+        dk.update("insert", 9, (30, 30), weight)
+    assert not dk.epoch_live
+    assert dk.rng.getstate() == rng_state
+    assert 9 not in dk.X and 9 not in dk.assign.points
+    assert len(dk.ball1m) == 4
+
+
 def test_lazy_rules_in_long_epoch():
     # uniform data keeps removals cheap, so epochs stretch past one update
     k = 16

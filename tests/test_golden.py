@@ -25,26 +25,29 @@ def _cert_overrides(params):
             "t_cap": max(2, sched.t_cap)}
 
 
-# name -> (gen_workload arguments, Params arguments, run_stream arguments)
+_P_CERT = Params(epsilon=0.5, d=2, delta=1024, seed=203)
+
+# name -> (gen_workload arguments, Params, run_stream arguments)
 CASES = {
     "clustered-k5": (
         dict(mode="clustered", n=400, d=2, delta=256, k=5, ins_frac=0.7,
              seed=201),
-        dict(delta=256, seed=201),
+        Params(epsilon=0.5, d=2, delta=256, seed=201),
         dict(k=5, baseline_every=50)),
     "window-k20": (
         dict(mode="sliding-window", n=600, d=2, delta=256, k=20, seed=202),
-        dict(delta=256, seed=202),
+        Params(epsilon=0.5, d=2, delta=256, seed=202),
         dict(k=20, baseline_every=50)),
     "cert-d1024": (
         dict(mode="clustered", n=300, d=2, delta=1024, k=5, ins_frac=0.72,
              seed=203),
-        dict(delta=1024, seed=203),
-        dict(k=5, baseline_every=50, witness=True, sched="cert")),
+        _P_CERT,
+        dict(k=5, baseline_every=50, witness=True,
+             sched_overrides=_cert_overrides(_P_CERT))),
     "sparse-k3": (
         dict(mode="clustered", n=300, d=2, delta=256, k=3, ins_frac=0.8,
              seed=204),
-        dict(delta=256, seed=204),
+        Params(epsilon=0.5, d=2, delta=256, seed=204),
         dict(k=3, baseline_every=50, mode="sparsified", verifiers=2)),
 }
 
@@ -59,13 +62,8 @@ def fixed_clock():
 
 
 def replay(name, stream):
-    _, pkw, rkw = CASES[name]
-    params = Params(epsilon=0.5, d=stream.d, **pkw)
-    rkw = dict(rkw)
-    k = rkw.pop("k")
-    if rkw.pop("sched", None) == "cert":
-        rkw["sched_overrides"] = _cert_overrides(params)
-    return run_stream(stream, params, k, time_source=fixed_clock(), **rkw)
+    _, params, run_kw = CASES[name]
+    return run_stream(stream, params, time_source=fixed_clock(), **run_kw)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

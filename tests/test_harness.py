@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynkmeans import cli
 from dynkmeans.errors import UsageError
 from dynkmeans.harness import METRICS_COLUMNS, run_stream
 from dynkmeans.params import Params
@@ -86,6 +87,30 @@ def test_stream_parse_errors():
         UpdateStream.parse("H d=2 delta=16 n=1 k=1\nI 1 1.0 99 1\n")
     with pytest.raises(UsageError):
         UpdateStream.parse("")
+
+
+BAD_STREAMS = {
+    "header without n": "H d=2 delta=16 k=1\nI 1 1.0 2 2\n",
+    "header field without =": "H d=2 delta=16 n=1 k\n",
+    "weight x": "H d=2 delta=16 n=1 k=1\nI 1 x 2 2\n",
+    "weight nan": "H d=2 delta=16 n=1 k=1\nI 1 nan 2 2\n",
+    "weight inf": "H d=2 delta=16 n=1 k=1\nI 1 inf 2 2\n",
+    "negative weight": "H d=2 delta=16 n=1 k=1\nI 1 -1.0 2 2\n",
+    "id not an integer": "H d=2 delta=16 n=1 k=1\nI a 1.0 2 2\n",
+    "delete without id": "H d=2 delta=16 n=1 k=1\nI 1 1.0 2 2\nD\n",
+    "coordinate not an integer": "H d=2 delta=16 n=1 k=1\nI 1 1.0 2 2.5\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STREAMS))
+def test_malformed_stream_is_usage_error(name, tmp_path, capsys):
+    with pytest.raises(UsageError):
+        UpdateStream.parse(BAD_STREAMS[name])
+    path = tmp_path / "bad.txt"
+    path.write_text(BAD_STREAMS[name])
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
 
 
 def test_run_stream_insertions_only_ratio_one():
