@@ -97,7 +97,8 @@ def main(argv=None) -> int:
 
     v = sub.add_parser("verify", help="run an invariant suite")
     v.add_argument("--suite", choices=SUITES, default="all")
-    v.add_argument("--lambda-cap", type=int, default=None)
+    v.add_argument("--lambda-cap", type=int, default=None,
+                   help="bucket cap for --suite hashing only")
 
     b = sub.add_parser("bench", help="update-time growth measurement")
     b.add_argument("--k", type=int, default=5)
@@ -153,10 +154,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.cmd == "verify":
-            kw = {}
-            if args.lambda_cap:
-                kw["lambda_cap"] = args.lambda_cap
-            results = run_suite(args.suite, seed=args.seed or 0, **kw)
+            results = run_suite(args.suite, seed=args.seed or 0,
+                                lambda_cap=args.lambda_cap)
             failed = 0
             for name, ok, detail in results:
                 print(f"{'PASS' if ok else 'FAIL'} {name} {detail}")

@@ -84,8 +84,6 @@ class DynamicKMeans(ClusterContext):
 
         self.recourse_cum = 0
         self.makerobust_cum = 0
-        self.epochs_done = 0
-        self.clamp_events = 0
         self.time_points_ns = 0        # dataset-side structure maintenance
         self.time_epoch_ns = 0         # epoch start/end pipelines
         self.violations: list = []     # instrumented assertion failures
@@ -133,17 +131,18 @@ class DynamicKMeans(ClusterContext):
         self._pump_yellow()
 
     def _smallest_t(self, dhat: float, div: float):
-        """Smallest t in [0, t_cap] with lam^(3t) >= dhat / div."""
+        """Smallest t with lam^(3t) >= dhat / div, or t_cap when no t in
+        [0, t_cap] qualifies."""
         cap = self.sched.t_cap
         if math.isinf(dhat):
-            return cap, True
+            return cap
         target = dhat / div
         lam3 = self.sched.lam ** 3
         t, v = 0, 1.0
         while v < target and t < cap:
             t += 1
             v *= lam3
-        return t, v < target
+        return t
 
     # --------------------------------------------------------------- updates
 
@@ -307,7 +306,6 @@ class DynamicKMeans(ClusterContext):
         self._robustify(fresh=fresh, contaminated=contaminated & w_prime)
         self.S_out = set(self.struct_centers)
         self.epoch_live = False
-        self.epochs_done += 1
 
     # ------------------------------------------------------------- robustify
 
@@ -327,7 +325,7 @@ class DynamicKMeans(ClusterContext):
             self.yellow_set.discard(u)
             if u not in self.struct_centers:
                 continue
-            t_check, _ = self._smallest_t(self.nbr.dhat(u), self.sched.robust_div)
+            t_check = self._smallest_t(self.nbr.dhat(u), self.sched.robust_div)
             if self.t_of.get(u, -1) >= t_check:
                 continue
             if u in produced:
@@ -347,9 +345,7 @@ class DynamicKMeans(ClusterContext):
 
     def _make_robust(self, u, call_type: str) -> tuple:
         sched = self.sched
-        t, clamped = self._smallest_t(self.nbr.dhat(u), sched.makerobust_div)
-        if clamped:
-            self.clamp_events += 1
+        t = self._smallest_t(self.nbr.dhat(u), sched.makerobust_div)
         x = u
         steps = []
         for j in range(t, 0, -1):

@@ -99,18 +99,16 @@ class MomentSummary:
 
 
 class RangeIndex:
-    """Points routed to one bucket per level, each bucket carrying a summary
-    from a pluggable factory (exact moments by default). Any summary type
-    with add/remove works; disjoint buckets make merge rules exact.
+    """Points routed to one bucket per level, each bucket carrying exact
+    weighted moments (MomentSummary); disjoint buckets make merges exact.
 
     The hash family is sampled at construction (so results do not depend on
     query order), but a level's buckets materialize on first query.
     """
 
-    def __init__(self, params: Params, seed_tag, summary_factory=None):
+    def __init__(self, params: Params, seed_tag):
         self.params = params
         self.max_level = params.dyadic_levels + 1
-        self.factory = summary_factory or (lambda: MomentSummary(params.d))
         self.hashes = {
             i: ConsistentHash(params, rho=params.gamma * (1 << i),
                               seed_tag=(seed_tag, "lvl", i))
@@ -119,7 +117,7 @@ class RangeIndex:
         self.buckets = {}               # level -> cell -> (ids, summary)
         self.exact = {}                 # point -> (ids dict, summary)
         self.registry = {}              # id -> (point, weight, cells per level)
-        self.global_summary = self.factory()
+        self.global_summary = MomentSummary(params.d)
         self.nocolor_events = 0
 
     def __len__(self):
@@ -149,7 +147,7 @@ class RangeIndex:
     def _bucket_add(self, i, z, key, p, w):
         b = self.buckets[i].get(z)
         if b is None:
-            b = ({}, self.factory())
+            b = ({}, MomentSummary(self.params.d))
             self.buckets[i][z] = b
         b[0][key] = (p, w)
         b[1].add(p, w)
@@ -170,7 +168,7 @@ class RangeIndex:
             self._bucket_add(i, z, key, p, w)
         b = self.exact.get(p)
         if b is None:
-            b = ({}, self.factory())
+            b = ({}, MomentSummary(self.params.d))
             self.exact[p] = b
         b[0][key] = w
         b[1].add(p, w)

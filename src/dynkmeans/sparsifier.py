@@ -212,8 +212,6 @@ class SparsifiedRunner:
                        for i in range(verifiers)]
         self.reset_serial = 0
         self.resets_cum = 0
-        self.reset_updates = 0
-        self.last_estimate = 0.0
 
     def _feed(self, deltas):
         for op, uid, p, w in deltas:
@@ -256,7 +254,6 @@ class SparsifiedRunner:
             raise UsageError(f"unknown op {op!r}")
         self._feed(deltas)
         est = self.estimate()
-        self.last_estimate = est
         resets = 0
         while self._cost_on_U(self.primary.solution()) > self.alpha * est:
             if resets >= RESET_CAP:
@@ -267,9 +264,6 @@ class SparsifiedRunner:
             self._reset_primary()
             resets += 1
             est = self.estimate()
-            self.last_estimate = est
-        if resets:
-            self.reset_updates += 1
         return resets
 
     def solution(self) -> frozenset:
@@ -281,22 +275,3 @@ class SparsifiedRunner:
 
     def u_size(self) -> int:
         return len(self.U)
-
-
-def calibrate_alpha(params: Params, k: int, stream, floor: float = 4.0,
-                    slack: float = 1.5) -> float:
-    """Measured 95th-percentile ratio of primary cost to the verifier minimum
-    over a calibration stream, padded by `slack`."""
-    runner = SparsifiedRunner(params, k, alpha=math.inf, verifiers=2)
-    ratios = []
-    for op, key, point, weight in stream:
-        runner.update(op, key, point, weight)
-        est = runner.last_estimate
-        cost = runner._cost_on_U(runner.solution())
-        if est > 0 and not math.isinf(cost):
-            ratios.append(cost / est)
-    if not ratios:
-        return floor
-    ratios.sort()
-    q95 = ratios[min(len(ratios) - 1, int(0.95 * len(ratios)))]
-    return max(floor, slack * q95)

@@ -1,117 +1,172 @@
-"""Named invariant suites behind the `verify` CLI subcommand.
+"""Invariant checks, and the named suites behind the `verify` CLI subcommand.
 
-Each suite returns a list of (check_name, ok, detail). Suites are sized to
-run in seconds and cover the structural invariants of each subsystem; the
-full acceptance battery lives in the test suite.
+Each `check_*` function drives one structure, checks it against a
+brute-force oracle or a stated invariant, and returns violation counts. The acceptance battery
+(`tests/test_acceptance.py`) calls them at full size; each `verify_*` suite
+calls the same functions at a smaller size, sized to run in seconds, and
+returns a list of (check_name, ok, detail).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, replace
 
 from .assignment import AssignmentStructure
 from .controller import DynamicKMeans, validate_certificate
-from .errors import NoColorError
-from .geometry import (brute_nn, brute_opt_restricted, cost, dist, dist2,
+from .errors import NoColorError, UsageError
+from .geometry import (brute_nn, brute_opt_restricted, cost, dist,
                        opt_kmeans_exact, opt_kmeans_restricted_exact)
 from .hashing import ConsistentHash
-from .params import Params
-from .range_query import BallOneMeans, CenterIndex, RangeIndex
+from .params import Params, schedule_for
+from .range_query import BallOneMeans, CenterIndex
 from .rng import make_rng
 from .sparsifier import SparsifiedRunner
 from .subroutines import ClusterContext, restricted_kmeans
 from .workload import gen_workload
 
-SUITES = ("hashing", "range", "assignment", "subroutines", "controller",
-          "sparsifier", "lemmas", "all")
+
+def _point(rng, params):
+    return tuple(rng.randint(1, params.delta) for _ in range(params.d))
 
 
-def _grid(delta, d):
-    return itertools.product(range(1, delta + 1), repeat=d)
+# ------------------------------------------------------------------ hashing
 
-
-def verify_hashing(seed=0, lambda_cap=None):
-    out = []
-    p = Params(epsilon=0.5, d=2, delta=16, seed=seed,
-               **({"lambda_cap": lambda_cap} if lambda_cap else {}))
-    rho = 4.0
-    h = ConsistentHash(p, rho=rho, seed_tag="verify")
-    values = {}
-    nocolor = 0
-    for x in _grid(16, 2):
+def _hash_grid(params, rho, seed_tag):
+    """Hash of every point of the grid [delta]^d, in grid order; points that
+    hit NoColor are left out and counted."""
+    h = ConsistentHash(params, rho=rho, seed_tag=seed_tag)
+    values, nocolor = {}, 0
+    for x in itertools.product(range(1, params.delta + 1), repeat=params.d):
         try:
             values[x] = h.eval(x)
         except NoColorError:
             nocolor += 1
-    out.append(("hashing.no_color_events", nocolor == 0, f"count={nocolor}"))
+    return h, values, nocolor
+
+
+def check_hash_diameter(params, rho, seed_tag):
+    """Criterion 1: points sharing a hash value lie within rho of each other.
+    Returns (NoColor events, pairs farther apart than rho)."""
+    _, values, nocolor = _hash_grid(params, rho, seed_tag)
     groups = {}
     for x, v in values.items():
         groups.setdefault(v, []).append(x)
     bad = 0
     for members in groups.values():
-        for a in members:
-            for b in members:
-                if dist2(a, b) > rho * rho + 1e-9:
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                if dist(a, b) > rho + 1e-9:
                     bad += 1
-    out.append(("hashing.diameter", bad == 0, f"pairs over rho: {bad}"))
-    over = 0
-    sandwich_bad = 0
-    if nocolor == 0:
-        by_value = {}
-        for x, v in values.items():
-            by_value.setdefault(v, []).append(x)
-        for x in _grid(16, 2):
-            phi = h.ball_buckets(x)
-            if len(phi) > p.lambda_cap:
-                over += 1
-            inner = rho / p.gamma
-            for y in _grid(16, 2):
-                if dist(x, y) <= inner and values[y] not in phi:
-                    sandwich_bad += 1
-            for v in phi:
-                pts = by_value.get(v)
-                if pts and min(dist(x, q) for q in pts) > 2 * rho + 1e-9:
-                    sandwich_bad += 1
-    out.append(("hashing.consistency_cap", over == 0, f"overflows: {over}"))
-    out.append(("hashing.image_sandwich", sandwich_bad == 0,
-                f"violations: {sandwich_bad}"))
-    h2 = ConsistentHash(p, rho=rho, seed_tag="verify")
-    same = all(h2.eval(x) == values.get(x) for x in _grid(16, 2)) \
-        if nocolor == 0 else False
-    out.append(("hashing.determinism", same, "same seed, same values"))
-    return out
+    return nocolor, bad
 
 
-def verify_range(seed=0):
-    out = []
-    p = Params(epsilon=0.5, d=2, delta=64, seed=seed)
-    rng = make_rng(seed, "verify-range")
-    idx = RangeIndex(p, "verify")
-    pts = {}
-    for i in range(200):
-        pt = (rng.randint(1, 64), rng.randint(1, 64))
-        idx.insert(i, pt, 1.0)
-        pts[i] = pt
-    bad = 0
-    for _ in range(150):
-        x = (rng.randint(1, 64), rng.randint(1, 64))
-        r = rng.random() * 40
-        _, ids = idx.query(x, r, with_ids=True)
-        got = set(ids)
-        inner = {i for i, q in pts.items() if dist(q, x) <= r}
-        outer = {i for i, q in pts.items() if dist(q, x) <= 3 * p.gamma * r}
-        if not (inner <= got <= outer):
-            bad += 1
-    out.append(("range.query_sandwich", bad == 0, f"violations: {bad}"))
+def check_hash_consistency(rng, params, rho, seed_tag, queries):
+    """Criterion 2: on `queries` random points, eval finds a color and
+    ball_buckets returns at most lambda_cap values. Returns (NoColor events,
+    cap overflows)."""
+    h = ConsistentHash(params, rho=rho, seed_tag=seed_tag)
+    nocolor = over = 0
+    for _ in range(queries):
+        x = _point(rng, params)
+        try:
+            h.eval(x)
+        except NoColorError:
+            nocolor += 1
+        if len(h.ball_buckets(x)) > params.lambda_cap:
+            over += 1
+    return nocolor, over
 
-    ci = CenterIndex(p, "verify-ann", track_dist=True, gammas=(1.0, 8.0))
+
+def check_hash_sandwich(params, rho, seed_tag):
+    """Criterion 3 over the full grid: ball_buckets(x) has at most lambda_cap
+    values, holds the value of every point within rho/gamma of x, and each of
+    its values is realized by some point within 2*rho of x. Returns (NoColor
+    events, cap overflows, sandwich violations)."""
+    h, values, nocolor = _hash_grid(params, rho, seed_tag)
+    realized = {}
+    for x, v in values.items():
+        realized.setdefault(v, []).append(x)
+    inner_r = rho / params.gamma
+    over = bad = 0
+    for x in values:
+        phi = h.ball_buckets(x)
+        if len(phi) > params.lambda_cap:
+            over += 1
+        for y, vy in values.items():
+            if dist(x, y) <= inner_r and vy not in phi:
+                bad += 1
+        for v in phi:
+            mem = realized.get(v)
+            if mem and min(dist(x, q) for q in mem) > 2 * rho + 1e-9:
+                bad += 1
+    return nocolor, over, bad
+
+
+# ------------------------------------------------------------ range queries
+
+def check_ann(rng, params, steps, seed_tag):
+    """Criterion 4: a script of center inserts, deletes and ANN queries,
+    replayed on two indexes built alike. Returns (answers missing or farther
+    than 6*gamma times the true nearest distance, whether both replays gave
+    the same answers, number of queries)."""
+    script = []
     S = set()
-    ann_bad = dist_bad = flip_bad = 0
+    for _ in range(steps):
+        r = rng.random()
+        if r < 0.35 or len(S) < 2:
+            s = _point(rng, params)
+            if s not in S:
+                S.add(s)
+                script.append(("ins", s))
+            continue
+        if r < 0.5 and len(S) > 2:
+            s = rng.choice(sorted(S))
+            S.discard(s)
+            script.append(("del", s))
+        else:
+            script.append(("query", _point(rng, params)))
+    bad = 0
+    replays = []
+    for against_oracle in (True, False):
+        ci = CenterIndex(params, seed_tag)
+        S = set()
+        answers = []
+        for op, v in script:
+            if op == "ins":
+                S.add(v)
+                ci.insert(v)
+            elif op == "del":
+                S.discard(v)
+                ci.delete(v)
+            else:
+                ans = ci.ann_query(v, exclude=frozenset({v}))
+                answers.append(ans)
+                if against_oracle:
+                    _, nd = brute_nn(v, S, exclude_self=True)
+                    if ans is None or (nd > 0 and dist(v, ans)
+                                       > 6 * params.gamma * nd + 1e-9):
+                        bad += 1
+        replays.append(answers)
+    return bad, replays[0] == replays[1], len(replays[0])
+
+
+def check_indicators(rng, params, gammas, steps, seed_tag):
+    """Criterion 5: random center inserts and deletes on a distance-tracking
+    index. After every step, for each center s with true nearest distance d
+    (inf when alone): dhat(s) lies in [d, 6*gamma*d]; every reported flip
+    changed its bit and no change went unreported; and indicator i is 1 when
+    d <= gammas[i] and 0 when d > 6*gamma*gammas[i]. Returns (indicator
+    violations, dhat violations)."""
+    ci = CenterIndex(params, seed_tag, track_dist=True, gammas=gammas)
+    S = set()
     bits = {}
-    for step in range(300):
-        if not S or rng.random() < 0.6:
-            s = (rng.randint(1, 64), rng.randint(1, 64))
+    bad = dhat_bad = 0
+    g6 = 6 * params.gamma
+    for _ in range(steps):
+        if not S or rng.random() < 0.55:
+            s = _point(rng, params)
             if s in S:
                 continue
             S.add(s)
@@ -120,87 +175,91 @@ def verify_range(seed=0):
             s = rng.choice(sorted(S))
             S.discard(s)
             ci.delete(s)
-            for g in ci.gammas:
+            for g in gammas:
                 bits.pop((s, g), None)  # bits vanish with the center
-        for ss in S:
-            others = S - {ss}
-            dh = ci.dhat(ss)
-            if others:
-                true_d = min(dist(ss, t) for t in others)
-                if not (true_d - 1e-9 <= dh <= 6 * p.gamma * true_d + 1e-9):
-                    dist_bad += 1
-            elif not math.isinf(dh):
-                dist_bad += 1
         for s_ev, g, bit in ci.drain_events():
-            key = (s_ev, g)
-            if bits.get(key, 0) == bit:
-                flip_bad += 1
-            bits[key] = bit
-        for ss in S:
-            for gi, g in enumerate(ci.gammas):
-                b = ci.indicator_bit(ss, gi)
-                if bits.get((ss, g), 0) != b:
-                    flip_bad += 1
-                others = S - {ss}
-                if others:
-                    true_d = min(dist(ss, t) for t in others)
-                    if true_d <= g and b != 1:
-                        flip_bad += 1
-                    if true_d > 6 * p.gamma * g and b != 0:
-                        flip_bad += 1
-        if len(S) >= 2:
-            x = (rng.randint(1, 64), rng.randint(1, 64))
-            ans = ci.ann_query(x, exclude=frozenset({x}))
-            _, nd = brute_nn(x, S, exclude_self=True)
-            if ans is None or (nd > 0 and dist(x, ans) > 6 * p.gamma * nd + 1e-9):
-                ann_bad += 1
-    out.append(("range.ann_ratio", ann_bad == 0, f"violations: {ann_bad}"))
-    out.append(("range.dhat_two_sided", dist_bad == 0, f"violations: {dist_bad}"))
-    out.append(("range.indicator_flips", flip_bad == 0, f"violations: {flip_bad}"))
+            if bits.get((s_ev, g), 0) == bit:
+                bad += 1  # spurious flip
+            bits[(s_ev, g)] = bit
+        for s in S:
+            true_d = min((dist(s, t) for t in S if t != s), default=math.inf)
+            if not true_d - 1e-9 <= ci.dhat(s) <= g6 * true_d + 1e-9:
+                dhat_bad += 1
+            for gi, g in enumerate(gammas):
+                b = ci.indicator_bit(s, gi)
+                if bits.get((s, g), 0) != b:
+                    bad += 1  # missed flip
+                if true_d <= g and b != 1:
+                    bad += 1
+                if true_d > g6 * g and b != 0:
+                    bad += 1
+    return bad, dhat_bad
 
-    b1m = BallOneMeans(p, "verify-b1m")
-    for i, pt in pts.items():
-        b1m.insert(i, pt, 1.0)
-    ball_bad = 0
-    for _ in range(100):
-        x = (rng.randint(1, 64), rng.randint(1, 64))
-        r = rng.random() * 30
-        ans = b1m.query(x, r, witness=True)
+
+def check_ball_one_means(rng, params, n_points, queries, r_max, seed_tag):
+    """Criterion 6: `n_points` random weighted points, then `queries` ball
+    queries with radius below r_max. The witness ids must contain every point
+    within r and none beyond 3*gamma*r; on them the answer's weight and
+    costs at x and at c_star must be exact and c_star within 4 of the best
+    1-means center. Returns (sandwich violations, estimate violations)."""
+    bm = BallOneMeans(params, seed_tag)
+    pts = {}
+    for i in range(n_points):
+        pt = _point(rng, params)
+        bm.insert(i, pt, rng.choice([1.0, 2.0, 0.5]))
+        pts[i] = pt
+    sandwich = bad = 0
+    for _ in range(queries):
+        x = _point(rng, params)
+        r = rng.random() * r_max
+        ans = bm.query(x, r, witness=True)
         wit = ans.witness
-        ws = [(pts[i], 1.0) for i in wit]
-        if abs(ans.b - len(wit)) > 1e-9:
-            ball_bad += 1
+        inner = {i for i, q in pts.items() if dist(q, x) <= r}
+        outer = {i for i, q in pts.items() if dist(q, x) <= 3 * params.gamma * r}
+        if not (inner <= wit <= outer):
+            sandwich += 1
+            continue
+        ws = [(pts[i], bm.index.registry[i][1]) for i in wit]
+        total = sum(w for _, w in ws)
+        if abs(ans.b - total) > 1e-6 * max(1.0, total):
+            bad += 1
         if ws:
             cx = cost(ws, [x])
+            cc = cost(ws, [ans.c_star])
             if abs(cx - ans.cost_x) > 1e-6 * max(1.0, cx):
-                ball_bad += 1
-            opt1 = min(cost(ws, [c]) for c in
-                       set(q for q, _ in ws) | {ans.c_star})
-            if ans.cost_c_star > 4 * opt1 + 1e-9:
-                ball_bad += 1
-    out.append(("range.ball_1means", ball_bad == 0, f"violations: {ball_bad}"))
-    return out
+                bad += 1  # c_est = 1 demands exact estimates
+            if abs(cc - ans.cost_c_star) > 1e-6 * max(1.0, cc):
+                bad += 1
+            cands = set(q for q, _ in ws) | {ans.c_star}
+            opt1 = min(cost(ws, [c]) for c in cands)
+            if ans.cost_c_star > 4 * opt1 + 1e-6:
+                bad += 1  # c_opt = 4
+    return sandwich, bad
 
 
-def verify_assignment(seed=0):
-    out = []
-    p = Params(epsilon=0.5, d=2, delta=64, seed=seed)
-    rng = make_rng(seed, "verify-assign")
-    a = AssignmentStructure(p, seed_tag="verify")
+# --------------------------------------------------------------- assignment
+
+def check_assignment(rng, params, updates, seed_tag):
+    """Criteria 7 and 8: a random mix of point and center inserts and
+    deletes; after every update with a center, audit the partition and
+    equidistance, and check that the cluster weights sum to the live weight
+    within 1e-9. Returns (partition, equidistance and conservation violation
+    counts, the structure)."""
+    a = AssignmentStructure(params, seed_tag=seed_tag)
     pts, centers = {}, set()
-    part_bad = eq_bad = 0
-    for step in range(400):
+    part_bad = eq_bad = cons_bad = 0
+    for step in range(updates):
         r = rng.random()
-        if r < 0.45 or not pts:
-            pt = (rng.randint(1, 64), rng.randint(1, 64))
+        if r < 0.40 or not pts:
+            pt = _point(rng, params)
             a.point_insert(step, pt, rng.choice([1.0, 2.0]))
             pts[step] = pt
-        elif r < 0.6:
-            k = rng.choice(sorted(pts))
-            a.point_delete(k)
-            del pts[k]
-        elif r < 0.85 or not centers:
-            s = (rng.randint(1, 64), rng.randint(1, 64))
+        elif r < 0.62:
+            key = rng.choice(sorted(pts))
+            a.point_delete(key)
+            del pts[key]
+        elif r < 0.86 or not centers:
+            s = _point(rng, params)
             if s not in centers:
                 a.center_insert(s)
                 centers.add(s)
@@ -211,93 +270,133 @@ def verify_assignment(seed=0):
         if centers:
             part_bad += len(a.audit_partition())
             eq_bad += len(a.audit_equidistant(centers))
-    out.append(("assignment.partition", part_bad == 0, f"violations: {part_bad}"))
-    out.append(("assignment.equidistant", eq_bad == 0, f"violations: {eq_bad}"))
-    tot = sum(w for _, w, _ in a.points.values())
-    ok = centers and abs(a.weights_total() - tot) <= 1e-9 * max(1.0, tot)
-    out.append(("assignment.weight_conservation", bool(ok),
-                f"{a.weights_total()} vs {tot}"))
-    order = a.ordering(lambda c: 1.0)
-    keys = [a.w_S[c] for c in order]
-    out.append(("assignment.ordering", keys == sorted(keys), "recomputed keys"))
-    return out
+            total = sum(w for _, w, _ in a.points.values())
+            if abs(a.weights_total() - total) > 1e-9 * max(1.0, total):
+                cons_bad += 1
+    return part_bad, eq_bad, cons_bad, a
 
 
-def verify_subroutines(seed=0):
-    out = []
-    p = Params(epsilon=0.5, d=2, delta=64, seed=seed)
-    rng = make_rng(seed, "verify-sub")
-    worst = 0.0
-    for trial in range(30):
-        n = rng.randint(8, 30)
-        pw = [((rng.randint(1, 64), rng.randint(1, 64)), 1.0) for _ in range(n)]
+# -------------------------------------------------------------- subroutines
+
+def check_restricted(rng, params, trials, seed_tag):
+    """Criterion 10: restricted k-means against the exhaustive optimum on
+    small instances, uniform and clustered in turn. Returns (instances with
+    ratio above C_restr = 50, the sorted ratios)."""
+    delta = params.delta
+    ratios = []
+    bad = 0
+    for trial in range(trials):
+        n = rng.randint(12, 60)
+        if trial % 2 == 0:
+            pw = [((rng.randint(1, delta), rng.randint(1, delta)), 1.0)
+                  for _ in range(n)]
+        else:
+            cents = [(rng.randint(4, delta - 4), rng.randint(4, delta - 4))
+                     for _ in range(4)]
+            pw = []
+            for _ in range(n):
+                c = cents[rng.randrange(4)]
+                pw.append(((min(max(c[0] + rng.randint(-2, 2), 1), delta),
+                            min(max(c[1] + rng.randint(-2, 2), 1), delta)),
+                           1.0))
         S = set()
-        while len(S) < 6:
-            S.add((rng.randint(1, 64), rng.randint(1, 64)))
+        while len(S) < rng.randint(5, 10):
+            S.add((rng.randint(1, delta), rng.randint(1, delta)))
         r = rng.randint(1, 3)
-        ctx = ClusterContext.from_instance(p, pw, S, seed_tag=("v", trial))
+        ctx = ClusterContext.from_instance(params, pw, S,
+                                           seed_tag=(seed_tag, trial))
         R = restricted_kmeans(ctx, r, rng)
         got = cost(pw, S - R)
         _, best = brute_opt_restricted(pw, S, r)
-        worst = max(worst, got / best if best > 0 else (1.0 if got <= 1e-9 else math.inf))
-    out.append(("subroutines.restricted_ratio", worst <= 50.0,
-                f"worst ratio {worst:.2f}"))
-    return out
+        if best > 0:
+            ratios.append(got / best)
+            if got / best > 50.0:
+                bad += 1
+        elif got > 1e-9:
+            bad += 1
+        else:
+            ratios.append(1.0)
+    ratios.sort()
+    return bad, ratios
 
 
-def verify_controller(seed=0):
-    out = []
-    p = Params(epsilon=0.5, d=2, delta=256, seed=seed)
-    dk = DynamicKMeans(p, 5, witness=True)
-    stream = gen_workload("clustered", 500, 2, 256, 5, ins_frac=0.7, seed=seed)
-    rec_sum = 0
-    prev = frozenset()
-    drift_bad = 0
+# --------------------------------------------------------------- controller
+
+def cert_controller(params, k=5):
+    """A witness-mode controller under the certificate schedule: with these
+    divisors make_robust reaches t >= 1 and queries BallOneMeans."""
+    sched = schedule_for(params)
+    lam = sched.lam
+    sched = replace(sched, makerobust_div=lam ** 0.5, robust_div=lam,
+                    t_cap=max(2, sched.t_cap))
+    return DynamicKMeans(params, k, witness=True, sched=sched)
+
+
+@dataclass
+class CertCheck:
+    controller: DynamicKMeans
+    calls: int = 0          # make_robust calls
+    certified: int = 0      # calls that reached t >= 1
+    max_t: int = 0
+    cert_bad: int = 0       # certificate violations
+    drift_bad: int = 0      # t >= 1 moves beyond 4*lam^(3t-1)
+    recourse_bad: int = 0   # updates whose recourse misstates the change
+
+
+def check_certificates(dk, stream, stop_calls=None) -> CertCheck:
+    """Criteria 12 and 13: replay `stream` through the witness-mode
+    controller `dk`, validate every make_robust certificate against the live
+    dataset and the drift of every t >= 1 move, and compare each update's
+    reported recourse with the change of the solution. With `stop_calls`,
+    stop once that many calls were made and one reached t >= 1. The
+    controller's instrumented violations are left in `dk.violations`."""
+    out = CertCheck(dk)
 
     def on_mr(ctrl, rec):
-        nonlocal drift_bad
-        bad = validate_certificate(rec, ctrl.X, ctrl.sched, ctrl.params.delta)
-        drift_bad += len(bad)
+        out.calls += 1
+        out.max_t = max(out.max_t, rec.t)
+        out.cert_bad += len(validate_certificate(rec, ctrl.X, ctrl.sched,
+                                                 ctrl.params.delta))
+        if rec.t >= 1:
+            out.certified += 1
+            if dist(rec.u, rec.v) > 4 * ctrl.sched.lam ** (3 * rec.t - 1) + 1e-9:
+                out.drift_bad += 1
 
     dk.on_makerobust = on_mr
+    prev = dk.solution()
     for op, key, point, w in stream.ops():
         rep = dk.update(op, key, point, w)
         now = dk.solution()
         if len(prev.symmetric_difference(now)) != rep.recourse:
-            rec_sum += 1
+            out.recourse_bad += 1
         prev = now
-    out.append(("controller.recourse_identity", rec_sum == 0,
-                f"mismatches: {rec_sum}"))
-    out.append(("controller.instrumented", not dk.violations,
-                f"{dk.violations[:2]}"))
-    out.append(("controller.certificates", drift_bad == 0,
-                f"violations: {drift_bad}"))
-    out.append(("controller.solution_size", len(dk.solution()) <= 5,
-                f"|S|={len(dk.solution())}"))
-    revalid = dk.revalidate_certificates()
-    out.append(("controller.cert_revalidation", not revalid, f"{revalid[:2]}"))
+        if stop_calls is not None and out.calls >= stop_calls and out.max_t >= 1:
+            break
     return out
 
 
-def verify_sparsifier(seed=0):
-    out = []
-    p = Params(epsilon=0.5, d=2, delta=256, seed=seed)
-    k = 5
-    runner = SparsifiedRunner(p, k, n_hint=300, verifiers=2, alpha=30.0)
-    stream = gen_workload("clustered", 300, 2, 256, k, ins_frac=0.8, seed=seed)
-    ok = True
-    size_ok = True
+# --------------------------------------------------------------- sparsifier
+
+def check_sparsified(runner, stream):
+    """Criterion 16: replay `stream` through a SparsifiedRunner. After every
+    update the primary's cost on U stays within alpha times the verifier
+    minimum, and |U| within c_u*k*log2(n)^2 + 2*block for n updates. Returns
+    (contract violations, size violations, most primary resets in one
+    update)."""
+    sp = runner.sparsifier
+    n = len(stream.records)
+    bound = sp.c_u * runner.k * math.log2(max(n, 4)) ** 2 + 2 * sp.block
+    contract_bad = size_bad = burst_max = 0
     for op, key, point, w in stream.ops():
-        runner.update(op, key, point, w)
-        ok = ok and runner.contract_holds()
-        size_ok = size_ok and runner.u_size() <= runner.sparsifier.size_bound()
-    out.append(("sparsifier.post_update_contract", ok, "cost(U,S*) <= alpha*E"))
-    out.append(("sparsifier.size_bound", size_ok, f"|U|={runner.u_size()}"))
-    runner.primary.force_solution = frozenset({(1, 1)})  # fault injection
-    resets = runner.update("insert", 999999, (128, 128), 1.0)
-    out.append(("sparsifier.fault_reset", resets >= 1, f"resets={resets}"))
-    return out
+        burst_max = max(burst_max, runner.update(op, key, point, w))
+        if not runner.contract_holds():
+            contract_bad += 1
+        if runner.u_size() > bound:
+            size_bad += 1
+    return contract_bad, size_bad, burst_max
 
+
+# ------------------------------------------------------------------- lemmas
 
 def check_lemmas(rng, instances: int):
     """Projection and lazy-update lemmas against the exact oracles on
@@ -333,27 +432,141 @@ def check_lemmas(rng, instances: int):
     return proj_bad, lazy_bad
 
 
+# ------------------------------------------------------------------- suites
+
+def _violations(name, count):
+    return (name, count == 0, f"violations: {count}")
+
+
+def verify_hashing(seed=0, lambda_cap=None):
+    cap = lambda_cap or 0   # 0 selects the default cap of Params
+    p = Params(epsilon=0.5, d=2, delta=16, seed=seed, lambda_cap=cap)
+    p8 = Params(epsilon=0.5, d=8, delta=1024, seed=seed, lambda_cap=cap)
+    rho = 4.0
+    nocolor_d, diameter = check_hash_diameter(p, rho, "verify")
+    nocolor_c, over_c = check_hash_consistency(
+        make_rng(seed, "verify-hash"), p8, 64.0, "verify", 20)
+    nocolor_s, over_s, sandwich = check_hash_sandwich(p, rho, "verify")
+    nocolor = nocolor_d + nocolor_c + nocolor_s
+    over = over_c + over_s
+    same = _hash_grid(p, rho, "verify")[1] == _hash_grid(p, rho, "verify")[1]
+    return [("hashing.no_color_events", nocolor == 0, f"count={nocolor}"),
+            ("hashing.diameter", diameter == 0, f"pairs over rho: {diameter}"),
+            ("hashing.consistency_cap", over == 0, f"overflows: {over}"),
+            _violations("hashing.image_sandwich", sandwich),
+            ("hashing.determinism", same, "same seed, same values")]
+
+
+def verify_range(seed=0):
+    p = Params(epsilon=0.5, d=2, delta=64, seed=seed)
+    rng = make_rng(seed, "verify-range")
+    ann_bad, same, queries = check_ann(rng, p, 600, "verify-ann")
+    flips, dhat_bad = check_indicators(rng, p, (1.0, 4.0, 16.0), 200,
+                                       "verify-ind")
+    sandwich, ball_bad = check_ball_one_means(rng, p, 200, 100, 30.0,
+                                              "verify-b1m")
+    return [_violations("range.query_sandwich", sandwich),
+            ("range.ann_ratio", ann_bad == 0 and same,
+             f"violations: {ann_bad} deterministic={same} over {queries} "
+             f"queries"),
+            _violations("range.dhat_two_sided", dhat_bad),
+            _violations("range.indicator_flips", flips),
+            _violations("range.ball_1means", ball_bad)]
+
+
+def verify_assignment(seed=0):
+    p = Params(epsilon=0.5, d=2, delta=64, seed=seed)
+    part_bad, eq_bad, cons_bad, a = check_assignment(
+        make_rng(seed, "verify-assign"), p, 400, "verify")
+    keys = [a.w_S[c] for c in a.ordering(lambda c: 1.0)]
+    return [_violations("assignment.partition", part_bad),
+            _violations("assignment.equidistant", eq_bad),
+            _violations("assignment.weight_conservation", cons_bad),
+            ("assignment.ordering", keys == sorted(keys), "recomputed keys")]
+
+
+def verify_subroutines(seed=0):
+    p = Params(epsilon=0.5, d=2, delta=64, seed=seed)
+    bad, ratios = check_restricted(make_rng(seed, "verify-sub"), p, 20, "v")
+    return [("subroutines.restricted_ratio", bad == 0,
+             f"violations: {bad} worst ratio {max(ratios, default=0.0):.2f} "
+             f"(C_restr=50)")]
+
+
+def verify_controller(seed=0):
+    p = Params(epsilon=0.5, d=2, delta=1024, seed=seed)
+    res = check_certificates(cert_controller(p), gen_workload(
+        "clustered", 300, 2, 1024, 5, ins_frac=0.72, seed=seed))
+    # Stored certificates outlive later updates only where robustness levels
+    # are separated, which the production divisors (lam^7, lam^10) give once
+    # centers lie about lam^7 ~ 6e8 apart. Under the certificate schedule
+    # one insert invalidates every t = 1 witness set (lam^3 exceeds delta).
+    wide = Params(epsilon=0.5, d=2, delta=1 << 30, seed=seed, colors=3)
+    res_wide = check_certificates(
+        DynamicKMeans(wide, 4, witness=True),
+        gen_workload("clustered", 150, 2, wide.delta, 4, ins_frac=0.8,
+                     seed=seed))
+    runs = (res, res_wide)
+    mismatches = sum(r.recourse_bad for r in runs)
+    violations = [v for r in runs for v in r.controller.violations]
+    bad = sum(r.cert_bad + r.drift_bad for r in runs)
+    certified = sum(r.certified for r in runs)
+    stored = sum(rec.t >= 1 for rec in res_wide.controller.certs.values())
+    revalid = res_wide.controller.revalidate_certificates()
+    return [("controller.recourse_identity", mismatches == 0,
+             f"mismatches: {mismatches}"),
+            ("controller.instrumented", not violations, f"{violations[:2]}"),
+            ("controller.certificates", bad == 0 and certified >= 1,
+             f"violations: {bad}, {certified} certificates with t>=1"),
+            ("controller.solution_size",
+             all(len(r.controller.solution()) <= r.controller.k for r in runs),
+             f"|S|={[len(r.controller.solution()) for r in runs]}"),
+            ("controller.cert_revalidation", not revalid and stored >= 1,
+             f"{stored} stored with t>=1, failures: {revalid[:2]}")]
+
+
+def verify_sparsifier(seed=0):
+    p = Params(epsilon=0.5, d=2, delta=256, seed=seed)
+    runner = SparsifiedRunner(p, 5, n_hint=300, verifiers=2, alpha=30.0)
+    stream = gen_workload("clustered", 300, 2, 256, 5, ins_frac=0.8, seed=seed)
+    contract_bad, size_bad, burst = check_sparsified(runner, stream)
+    out = [("sparsifier.post_update_contract", contract_bad == 0,
+            f"violations: {contract_bad} of cost(U,S*) <= alpha*E, "
+            f"max_burst={burst}"),
+           ("sparsifier.size_bound", size_bad == 0,
+            f"violations: {size_bad} |U|={runner.u_size()}")]
+    runner.primary.force_solution = frozenset({(1, 1)})  # fault injection
+    resets = runner.update("insert", 999999, (128, 128), 1.0)
+    out.append(("sparsifier.fault_reset", resets >= 1, f"resets={resets}"))
+    return out
+
+
 def verify_lemmas(seed=0):
     proj_bad, lazy_bad = check_lemmas(make_rng(seed, "verify-lemmas"), 60)
-    return [("lemmas.projection", proj_bad == 0, f"violations: {proj_bad}"),
-            ("lemmas.lazy_updates", lazy_bad == 0, f"violations: {lazy_bad}")]
+    return [_violations("lemmas.projection", proj_bad),
+            _violations("lemmas.lazy_updates", lazy_bad)]
 
 
-def run_suite(name: str, seed: int = 0, **kw):
-    table = {
-        "hashing": verify_hashing,
-        "range": verify_range,
-        "assignment": verify_assignment,
-        "subroutines": verify_subroutines,
-        "controller": verify_controller,
-        "sparsifier": verify_sparsifier,
-        "lemmas": verify_lemmas,
-    }
-    if name == "all":
-        results = []
-        for key in table:
-            results.extend(table[key](seed=seed))
-        return results
-    if name not in table:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return table[name](seed=seed, **kw)
+_SUITE_FUNCS = {
+    "hashing": verify_hashing,
+    "range": verify_range,
+    "assignment": verify_assignment,
+    "subroutines": verify_subroutines,
+    "controller": verify_controller,
+    "sparsifier": verify_sparsifier,
+    "lemmas": verify_lemmas,
+}
+SUITES = (*_SUITE_FUNCS, "all")
+
+
+def run_suite(name: str, seed: int = 0, lambda_cap: int | None = None):
+    """Run one suite, or every suite for "all". `lambda_cap` overrides the
+    bucket cap of the hashing suite and is a usage error elsewhere."""
+    if name not in SUITES:
+        raise UsageError(f"unknown suite {name!r}; choose from {SUITES}")
+    if lambda_cap is not None and name != "hashing":
+        raise UsageError("--lambda-cap applies only to --suite hashing")
+    if name == "hashing":
+        return verify_hashing(seed, lambda_cap)
+    names = _SUITE_FUNCS if name == "all" else (name,)
+    return [row for key in names for row in _SUITE_FUNCS[key](seed)]

@@ -50,6 +50,11 @@ class UpdateStream:
                 raise UsageError(f"line {lineno}: unknown record {kind!r}")
             if kind != "H" and header is None:
                 raise UsageError(f"line {lineno}: record before header")
+            if kind == "H" and header is not None:
+                raise UsageError(f"line {lineno}: second header")
+            if kind == "D" and len(parts) != 2:
+                raise UsageError(f"line {lineno}: malformed 'D' record: "
+                                 f"{line!r}")
             try:
                 if kind == "H":
                     kv = dict(p.split("=", 1) for p in parts[1:])

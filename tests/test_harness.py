@@ -99,6 +99,9 @@ BAD_STREAMS = {
     "id not an integer": "H d=2 delta=16 n=1 k=1\nI a 1.0 2 2\n",
     "delete without id": "H d=2 delta=16 n=1 k=1\nI 1 1.0 2 2\nD\n",
     "coordinate not an integer": "H d=2 delta=16 n=1 k=1\nI 1 1.0 2 2.5\n",
+    "delete with trailing field": "H d=2 delta=16 n=2 k=1\nI 1 1.0 2 2\nD 1 extra\n",
+    "second header": "H d=2 delta=16 n=1 k=1\nI 1 1.0 12 12\n"
+                     "H d=2 delta=8 n=1 k=1\n",
 }
 
 
@@ -185,6 +188,13 @@ def test_cli_verify_injected_failure():
                          capture_output=True, text=True)
     assert out.returncode == 1
     assert "FAIL" in out.stdout
+
+
+@pytest.mark.parametrize("suite", ["range", "all"])
+def test_cli_lambda_cap_only_with_hashing(suite, capsys):
+    assert cli.main(["verify", "--suite", suite, "--lambda-cap", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
 
 
 def test_cli_usage_errors():

@@ -312,38 +312,6 @@ def test_ball_one_means_b_monotone_within_level():
             assert bm.query(x, r1).b <= bm.query(x, r2).b + 1e-9
 
 
-class _CountSummary:
-    """Minimal pluggable summary: live weight and count."""
-
-    def __init__(self):
-        self.n = 0
-        self.w = 0.0
-
-    def add(self, p, w):
-        self.n += 1
-        self.w += w
-
-    def remove(self, p, w):
-        self.n -= 1
-        self.w -= w
-
-
-def test_pluggable_summary_factory():
-    idx = RangeIndex(P, "plug", summary_factory=_CountSummary)
-    rng = make_rng(30, "plug")
-    pts = {}
-    for i in range(80):
-        pt = (rng.randint(1, 64), rng.randint(1, 64))
-        idx.insert(i, pt, 2.0)
-        pts[i] = pt
-    x = (32, 32)
-    summaries, ids = idx.query(x, 10.0, with_ids=True)
-    assert all(isinstance(s, _CountSummary) for s in summaries)
-    assert sum(s.n for s in summaries) == len(ids)
-    inner = {i for i, q in pts.items() if dist(q, x) <= 10.0}
-    assert inner <= set(ids)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 32), st.integers(1, 32),
                           st.floats(0.5, 4.0)), min_size=2, max_size=20))

@@ -99,15 +99,6 @@ def test_runner_fresh_empty_solution():
     assert runner.u_size() == 0
 
 
-def test_calibrate_alpha_returns_floor_or_measured():
-    from dynkmeans.sparsifier import calibrate_alpha
-    stream = list(gen_workload("clustered", 120, 2, 256, 4,
-                               ins_frac=0.9, seed=6).ops())
-    alpha = calibrate_alpha(P, 4, stream, floor=4.0)
-    assert alpha >= 4.0
-    assert alpha < 1000.0
-
-
 def test_runner_fault_injection_resets():
     runner = SparsifiedRunner(P, k=4, n_hint=128, verifiers=2, alpha=20.0)
     stream = gen_workload("clustered", 150, 2, 256, 4, ins_frac=1.0, seed=5)
