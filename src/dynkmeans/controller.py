@@ -62,7 +62,7 @@ class DynamicKMeans(ClusterContext):
             CenterIndex(params, (seed_tag, "nbr"), track_dist=True,
                         gammas=self.sched.indicator_gammas),
             CenterIndex(params, (seed_tag, "cent")))
-        self.X = WeightedSet(params.d, mirror=True)
+        self.X = WeightedSet(params.d)
         self.ball1m = BallOneMeans(params, seed_tag=(seed_tag, "b1m"))
 
         self.struct_centers: set = set()
@@ -288,7 +288,7 @@ class DynamicKMeans(ClusterContext):
                     contaminated.add(u)
 
         a = max(1, math.ceil(sched.augment_per_update * (self.ell + 1)))
-        augmented_kmeans(self, a, sched.d2_samples, self.rng, keep=True)
+        augmented_kmeans(self, a, sched.d2_samples, self.rng)
         for p in x_plus:
             if p not in self.struct_centers:
                 self.center_add(p, tag=None)

@@ -46,21 +46,19 @@ def point_set_dist2(p: GridPoint, centers: Iterable[GridPoint]) -> float:
 class WeightedSet:
     """Dynamic weighted multiset of grid points with stable external ids.
 
-    Keeps an optional dense numpy mirror (rows swap-deleted) so exact cost
+    Keeps a dense numpy mirror (rows swap-deleted) so exact cost
     evaluations stay cheap at any size.
     """
 
-    def __init__(self, d: int, mirror: bool = True):
+    def __init__(self, d: int):
         self.d = d
         self.entries: dict = {}          # id -> (point, weight)
         self.total_weight = 0.0
         self._by_point: dict = {}        # point -> (count, weight)
-        self._mirror = mirror
-        if mirror:
-            self._rows = np.zeros((16, d), dtype=np.float64)
-            self._row_w = np.zeros(16, dtype=np.float64)
-            self._id2row: dict = {}
-            self._row2id: list = []
+        self._rows = np.zeros((16, d), dtype=np.float64)
+        self._row_w = np.zeros(16, dtype=np.float64)
+        self._id2row: dict = {}
+        self._row2id: list = []
 
     def __len__(self):
         return len(self.entries)
@@ -82,15 +80,14 @@ class WeightedSet:
         self.total_weight += weight
         c, w = self._by_point.get(point, (0, 0.0))
         self._by_point[point] = (c + 1, w + weight)
-        if self._mirror:
-            row = len(self._row2id)
-            if row >= self._rows.shape[0]:
-                self._rows = np.resize(self._rows, (2 * row, self.d))
-                self._row_w = np.resize(self._row_w, 2 * row)
-            self._rows[row] = point
-            self._row_w[row] = weight
-            self._id2row[key] = row
-            self._row2id.append(key)
+        row = len(self._row2id)
+        if row >= self._rows.shape[0]:
+            self._rows = np.resize(self._rows, (2 * row, self.d))
+            self._row_w = np.resize(self._row_w, 2 * row)
+        self._rows[row] = point
+        self._row_w[row] = weight
+        self._id2row[key] = row
+        self._row2id.append(key)
 
     def delete(self, key):
         if key not in self.entries:
@@ -102,16 +99,15 @@ class WeightedSet:
             del self._by_point[point]
         else:
             self._by_point[point] = (c - 1, w - weight)
-        if self._mirror:
-            row = self._id2row.pop(key)
-            last = len(self._row2id) - 1
-            last_id = self._row2id[last]
-            if row != last:
-                self._rows[row] = self._rows[last]
-                self._row_w[row] = self._row_w[last]
-                self._id2row[last_id] = row
-                self._row2id[row] = last_id
-            self._row2id.pop()
+        row = self._id2row.pop(key)
+        last = len(self._row2id) - 1
+        last_id = self._row2id[last]
+        if row != last:
+            self._rows[row] = self._rows[last]
+            self._row_w[row] = self._row_w[last]
+            self._id2row[last_id] = row
+            self._row2id[row] = last_id
+        self._row2id.pop()
         return point, weight
 
     def get(self, key):
@@ -139,12 +135,10 @@ class WeightedSet:
             raise UsageError("empty center set")
         if not self.entries:
             return 0.0
-        if self._mirror:
-            pts, w = self.arrays()
-            c = np.asarray(centers, dtype=np.float64)
-            d2 = ((pts[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-            return float(np.dot(w, d2))
-        return sum(w * point_set_dist2(p, centers) for p, w in self.points())
+        pts, w = self.arrays()
+        c = np.asarray(centers, dtype=np.float64)
+        d2 = ((pts[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        return float(np.dot(w, d2))
 
 
 def cost(points_weights, centers) -> float:

@@ -51,21 +51,21 @@ def _ratio(cost_alg: float, cost_base: float) -> float:
     return 1.0 if cost_alg <= 0 else math.inf
 
 
-def baseline_solve(X: WeightedSet, k: int, rng, max_swaps=None) -> float:
+def baseline_solve(X: WeightedSet, k: int, rng) -> float:
     """Static solve from scratch on the live points; returns its cost."""
     if not len(X):
         return 0.0
     pts, ws = X.arrays()
     points = [tuple(int(v) for v in row) for row in pts]
     k_eff = min(k, len(set(points)))
-    centers = static_weighted_kmeans(points, ws, k_eff, rng, max_swaps=max_swaps)
+    centers = static_weighted_kmeans(points, ws, k_eff, rng)
     return X.cost(centers)
 
 
 def run_stream(stream: UpdateStream, params: Params, k: int,
                mode: str = "direct", baseline_every: int = 100,
                witness: bool = False, time_source=None,
-               baseline_swaps=None, alpha: float = 25.0,
+               alpha: float = 25.0,
                verifiers: int | None = None, sched_overrides=None,
                jl_dim: int | None = None) -> RunResult:
     """Replay a stream through the controller (direct) or the sparsified
@@ -98,7 +98,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
     else:
         runner = SparsifiedRunner(params, k, n_hint=max(stream.n, 16),
                                   alpha=alpha, verifiers=verifiers)
-        full_x = WeightedSet(params.d, mirror=True)
+        full_x = WeightedSet(params.d)
 
     rows = []
     recourse_cum = 0
@@ -148,7 +148,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
                 cost_alg = full_x.cost(solution)
             else:
                 cost_alg = 0.0
-            cost_base = baseline_solve(full_x, k, brng, max_swaps=baseline_swaps)
+            cost_base = baseline_solve(full_x, k, brng)
             ratio = _ratio(cost_alg, cost_base)
             time_baseline_ns += clock() - tb
         rows.append({
@@ -204,7 +204,7 @@ def time_naive_recompute(stream: UpdateStream, params: Params, k: int,
                          sample_every: int = 50) -> float:
     """Average per-update seconds for recompute-from-scratch, measured on a
     sample of updates and extrapolated."""
-    X = WeightedSet(params.d, mirror=True)
+    X = WeightedSet(params.d)
     rng = make_rng(params.seed, "naive")
     solve_ns = 0
     solves = 0

@@ -298,15 +298,6 @@ class CenterIndex:
             self.events = []       # (center, gamma, new_bit)
         self.nocolor_events = 0
 
-    def __len__(self):
-        return len(self.centers)
-
-    def __contains__(self, s):
-        return s in self.centers
-
-    def __iter__(self):
-        return iter(self.centers)
-
     def _footprint(self, i, p):
         # bucket enumeration skips overflowing colors instead of failing
         return tuple(self.hashes[i].ball_buckets(p, radius=float(1 << i)))
@@ -447,9 +438,6 @@ class CenterIndex:
 
     def retag(self, s, tag):
         self.centers[s]["tag"] = tag
-
-    def tag_of(self, s):
-        return self.centers[s]["tag"]
 
     # -- queries -----------------------------------------------------------
 

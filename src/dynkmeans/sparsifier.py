@@ -60,10 +60,9 @@ def sensitivity_sample(items, k: int, target: int, np_rng):
 
 
 class _Sketch:
-    __slots__ = ("level", "serial", "source", "published", "dirty", "base_n")
+    __slots__ = ("serial", "source", "published", "dirty", "base_n")
 
-    def __init__(self, level, serial):
-        self.level = level
+    def __init__(self, serial):
         self.serial = serial
         self.source = {}      # orig id -> (point, weight)
         self.published = {}   # uid -> (point, weight, orig id)
@@ -74,11 +73,13 @@ class _Sketch:
 class MergeReduceSparsifier:
     """Maintains U as the union of per-sketch samples; emits U deltas."""
 
-    def __init__(self, params: Params, k: int, n_hint: int = 1024, c_u: int = 2):
+    c_u = 2   # block size: c_u * k * log2(n_hint) points
+
+    def __init__(self, params: Params, k: int, n_hint: int = 1024):
         self.params = params
         self.k = k
-        self.c_u = c_u
-        self.block = max(2 * k, math.ceil(c_u * k * math.log2(max(n_hint, 4))))
+        self.block = max(2 * k,
+                         math.ceil(self.c_u * k * math.log2(max(n_hint, 4))))
         self.buffer = {}           # orig id -> (point, weight)
         self.buffer_uids = {}      # orig id -> uid
         self.sketches = {}         # level -> _Sketch
@@ -167,7 +168,7 @@ class MergeReduceSparsifier:
     def _freeze_buffer(self):
         deltas = []
         self._serial += 1
-        sketch = _Sketch(0, self._serial)
+        sketch = _Sketch(self._serial)
         sketch.source = dict(self.buffer)
         sketch.base_n = len(sketch.source)
         # buffered points were already published raw; adopt them
@@ -179,7 +180,7 @@ class MergeReduceSparsifier:
         level = 0
         while level in self.sketches:
             other = self.sketches.pop(level)
-            merged = _Sketch(level + 1, self._serial)
+            merged = _Sketch(self._serial)
             merged.source = {**other.source, **sketch.source}
             deltas.extend(("delete", uid, None, None)
                           for uid in other.published)
@@ -190,7 +191,6 @@ class MergeReduceSparsifier:
             deltas.extend(self._reduce(sketch))
         for key in sketch.source:
             self.owner[key] = level
-        sketch.level = level
         self.sketches[level] = sketch
         return deltas
 
@@ -199,14 +199,14 @@ class SparsifiedRunner:
     """One primary controller and L verifiers over the sparsified stream."""
 
     def __init__(self, params: Params, k: int, n_hint: int = 1024,
-                 verifiers: int | None = None, alpha: float = 25.0, c_u: int = 2):
+                 verifiers: int | None = None, alpha: float = 25.0):
         self.params = params
         self.k = k
         self.alpha = alpha
         if verifiers is None:
             verifiers = max(2, min(8, math.ceil(math.log2(max(n_hint, 4)))))
-        self.sparsifier = MergeReduceSparsifier(params, k, n_hint, c_u=c_u)
-        self.U = WeightedSet(params.d, mirror=True)
+        self.sparsifier = MergeReduceSparsifier(params, k, n_hint)
+        self.U = WeightedSet(params.d)
         self.primary = DynamicKMeans(params, k, seed_tag=("primary", 0))
         self.copies = [DynamicKMeans(params, k, seed_tag=("verify", i))
                        for i in range(verifiers)]

@@ -58,11 +58,11 @@ def _draw(probs: np.ndarray, rng) -> int:
     return len(probs) - 1
 
 
-def static_weighted_kmeans(points, weights, k: int, rng, max_swaps=None):
+def static_weighted_kmeans(points, weights, k: int, rng):
     """k centers chosen from the support of (points, weights).
 
     Returns a list of k point tuples. Local search runs single swaps until a
-    local optimum or the swap budget (default 50*k) is exhausted.
+    local optimum or the swap budget of 50*k is exhausted.
     """
     support = []
     seen = {}
@@ -82,8 +82,6 @@ def static_weighted_kmeans(points, weights, k: int, rng, max_swaps=None):
         return list(support)
     pts = np.asarray(support, dtype=np.float64)
     w = np.asarray(agg, dtype=np.float64)
-    if max_swaps is None:
-        max_swaps = 50 * k
 
     chosen = weighted_kmeanspp(pts, w, k, rng)
     d2 = _pairwise_d2(pts, pts[chosen])
@@ -105,7 +103,7 @@ def static_weighted_kmeans(points, weights, k: int, rng, max_swaps=None):
     exhaustive = n <= _EXHAUSTIVE_LIMIT
     miss_budget = n if exhaustive else 3 * k
     order = list(range(n))
-    while swaps < max_swaps and cur > 0:
+    while swaps < 50 * k and cur > 0:
         if exhaustive:
             cand_iter = order
         else:
@@ -154,7 +152,6 @@ class ClusterContext:
         self.assign = assign
         self.nbr = nbr
         self.cent = cent
-        self._saved_tags = {}
 
     @classmethod
     def from_instance(cls, params: Params, points_weights, centers,
@@ -189,25 +186,14 @@ class ClusterContext:
     def ordering(self):
         return self.assign.ordering(self.nbr.dhat)
 
-    def ann_query(self, x):
-        return self.cent.ann_query(x)
-
-    def ann_temp_delete(self, batch):
-        for s in batch:
-            self._saved_tags[s] = self.cent.tag_of(s)
-            self.cent.delete(s)
-
-    def ann_restore(self, batch):
-        for s in batch:
-            self.cent.insert(s, tag=self._saved_tags.pop(s, None))
-
     def d2_sample(self, rng):
         return self.assign.d2_sample(rng)[1]
 
 
 def restricted_kmeans(ctx, r: int, rng):
     """Choose r centers to delete; cost(X, S - R) stays within the configured
-    factor of the best removal."""
+    factor of the best removal. Reads the context without changing it: each
+    sketch partner is an ANN answer with the 6r cheapest centers masked."""
     S = ctx.centers()
     if not (1 <= r <= len(S) - 1):
         raise UsageError("r out of range")
@@ -216,14 +202,10 @@ def restricted_kmeans(ctx, r: int, rng):
     t1_set = set(t1)
     t2 = []
     if len(S) > len(t1):
-        ctx.ann_temp_delete(t1)
-        try:
-            for c in t1:
-                s = ctx.ann_query(c)
-                if s is not None:
-                    t2.append(s)
-        finally:
-            ctx.ann_restore(t1)
+        for c in t1:
+            s = ctx.cent.ann_query(c, exclude=t1_set)
+            if s is not None:
+                t2.append(s)
     sketch = list(t1)
     for s in t2:
         if s not in t1_set and s not in sketch[len(t1):]:
@@ -243,38 +225,29 @@ def restricted_kmeans(ctx, r: int, rng):
     return removed
 
 
-def augmented_kmeans(ctx, a: int, t: int, rng, keep: bool = False):
+def augmented_kmeans(ctx, a: int, t: int, rng):
     """(a + 1) rounds of t distance-squared draws, feeding each round's batch
-    back into the sampled center set. Returns the list of distinct sampled
-    points (at most (a + 1) * t)."""
+    back into the sampled center set, where the samples stay. Returns the
+    list of distinct sampled points (at most (a + 1) * t)."""
     if a < 1:
         raise UsageError("a must be >= 1")
     added = []
-    added_set = set()
     base = set(ctx.centers())
-    try:
-        for _ in range(a + 1):
-            batch = []
-            for _ in range(t):
-                try:
-                    p = ctx.d2_sample(rng)
-                except NoMassError:
-                    p = None
-                if p is None:
-                    break
-                batch.append(p)
-            if not batch:
+    for _ in range(a + 1):
+        batch = []
+        for _ in range(t):
+            try:
+                p = ctx.d2_sample(rng)
+            except NoMassError:
+                p = None
+            if p is None:
                 break
-            fresh = []
-            for p in batch:
-                if p not in base and p not in added_set:
-                    fresh.append(p)
-                    added_set.add(p)
-            for p in fresh:
+            batch.append(p)
+        if not batch:
+            break
+        for p in batch:
+            if p not in base:
+                base.add(p)
                 ctx.center_add(p)
                 added.append(p)
-    finally:
-        if not keep:
-            for p in reversed(added):
-                ctx.center_remove(p)
     return added

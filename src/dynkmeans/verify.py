@@ -322,13 +322,17 @@ def check_restricted(rng, params, trials, seed_tag):
 
 # --------------------------------------------------------------- controller
 
-def cert_controller(params, k=5):
-    """A witness-mode controller under the certificate schedule: with these
-    divisors make_robust reaches t >= 1 and queries BallOneMeans."""
+def cert_overrides(params):
+    """The certificate schedule, as `ExponentSchedule` field overrides: with
+    these divisors make_robust reaches t >= 1 and queries BallOneMeans."""
     sched = schedule_for(params)
-    lam = sched.lam
-    sched = replace(sched, makerobust_div=lam ** 0.5, robust_div=lam,
-                    t_cap=max(2, sched.t_cap))
+    return {"makerobust_div": sched.lam ** 0.5, "robust_div": sched.lam,
+            "t_cap": max(2, sched.t_cap)}
+
+
+def cert_controller(params, k=5):
+    """A witness-mode controller under the certificate schedule."""
+    sched = replace(schedule_for(params), **cert_overrides(params))
     return DynamicKMeans(params, k, witness=True, sched=sched)
 
 

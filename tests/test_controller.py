@@ -7,6 +7,7 @@ from dynkmeans.errors import UsageError
 from dynkmeans.geometry import dist
 from dynkmeans.params import Params, schedule_for
 from dynkmeans.rng import make_rng
+from dynkmeans.verify import cert_overrides
 from dynkmeans.workload import gen_workload
 
 P = Params(epsilon=0.5, d=2, delta=256, seed=51)
@@ -237,10 +238,7 @@ def test_solution_size_after_epochs():
 def cert_params():
     # lam >= 3*gamma and small divisors so robustness levels go above zero
     p = Params(epsilon=0.5, d=2, delta=1024, seed=52)
-    sched = schedule_for(p)
-    lam = sched.lam
-    return p, replace(sched, makerobust_div=lam ** 0.5, robust_div=lam,
-                      t_cap=max(2, sched.t_cap))
+    return p, replace(schedule_for(p), **cert_overrides(p))
 
 
 def test_makerobust_certificates_validate():

@@ -12,17 +12,11 @@ from pathlib import Path
 import pytest
 
 from dynkmeans.harness import run_stream
-from dynkmeans.params import Params, schedule_for
+from dynkmeans.params import Params
+from dynkmeans.verify import cert_overrides
 from dynkmeans.workload import UpdateStream, gen_workload
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _cert_overrides(params):
-    """Criterion 12's certificate schedule: make_robust reaches t >= 1."""
-    sched = schedule_for(params)
-    return {"makerobust_div": sched.lam ** 0.5, "robust_div": sched.lam,
-            "t_cap": max(2, sched.t_cap)}
 
 
 _P_CERT = Params(epsilon=0.5, d=2, delta=1024, seed=203)
@@ -43,7 +37,7 @@ CASES = {
              seed=203),
         _P_CERT,
         dict(k=5, baseline_every=50, witness=True,
-             sched_overrides=_cert_overrides(_P_CERT))),
+             sched_overrides=cert_overrides(_P_CERT))),
     "sparse-k3": (
         dict(mode="clustered", n=300, d=2, delta=256, k=3, ins_frac=0.8,
              seed=204),

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -150,19 +151,32 @@ def test_restricted_t2_ann_contract():
     pw, S = _instance(rng, 25, 8)
     ctx = ClusterContext.from_instance(P, pw, S, seed_tag="t6")
     r = 1
-    ordering = ctx.ordering()
-    t1 = ordering[:min(6 * r, len(S))]
-    ctx.ann_temp_delete(t1)
-    try:
-        for c in t1:
-            s = ctx.ann_query(c)
-            rest = S - set(t1)
-            if rest:
-                true_d = min(dist(c, t) for t in rest)
-                assert s in rest
-                assert dist(c, s) <= 6 * P.gamma * true_d + 1e-9
-    finally:
-        ctx.ann_restore(t1)
+    t1 = set(ctx.ordering()[:min(6 * r, len(S))])
+    rest = S - t1
+    assert rest
+    for c in t1:
+        s = ctx.cent.ann_query(c, exclude=t1)
+        true_d = min(dist(c, t) for t in rest)
+        assert s in rest
+        assert dist(c, s) <= 6 * P.gamma * true_d + 1e-9
+
+
+def test_restricted_leaves_center_index_unchanged(monkeypatch):
+    # 9 centers and r = 1: the sketch masks the 6 cheapest in cent, read-only
+    rng = make_rng(20, "r")
+    pw, S = _instance(rng, 30, 9)
+    ctx = ClusterContext.from_instance(P, pw, S, seed_tag="t12")
+    before = copy.deepcopy(ctx.cent.centers)
+    writes = []
+    for name in ("insert", "delete"):
+        def spy(*args, _real=getattr(ctx.cent, name), _name=name, **kw):
+            writes.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(ctx.cent, name, spy)
+    R = restricted_kmeans(ctx, 1, rng)
+    assert len(R) == 1 and R <= S
+    assert writes == []
+    assert ctx.cent.centers == before
 
 
 def test_augmented_empty_when_no_mass():
@@ -180,8 +194,7 @@ def test_augmented_returns_points_of_x():
     out = augmented_kmeans(ctx, 2, 3, rng)
     assert len(out) <= (2 + 1) * 3
     assert set(out) <= xs
-    # scratch copies removed afterward
-    assert set(ctx.centers()) == S
+    assert set(ctx.centers()) == S | set(out)
 
 
 def test_augmented_cost_nonincreasing_over_rounds():
