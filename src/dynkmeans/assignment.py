@@ -54,7 +54,8 @@ class AssignmentStructure:
     def _footprint(self, i, s):
         if i == 0:
             return (s,)
-        return tuple(self.hashes[i].ball_buckets(s))
+        h = self.hashes[i]
+        return tuple(h.ball_buckets(s, upto=h.top))
 
     def _level_items(self, i):
         return [(k, p) for k, (p, _, _) in self.points.items()]

@@ -163,6 +163,9 @@ class ConsistentHash:
 
     Hash values are (color, cell_id) pairs. Evaluation picks the smallest
     color whose 2*rho/gamma ball spans at most lambda_cap/colors cells.
+    `top` is the highest color any evaluation has returned since the last
+    resample: no value of a higher color has been handed out, so lookups
+    matched against evaluated points may stop enumerating there.
     Evaluations and bucket enumerations are memoized until a resample.
     """
 
@@ -180,6 +183,7 @@ class ConsistentHash:
                             make_rng(p.seed, "weak", self.seed_tag, attempt, c))
             for c in range(p.colors)
         ]
+        self.top = 0
         self._eval_cache = {}
         self._bucket_cache = {}
 
@@ -201,6 +205,8 @@ class ConsistentHash:
         for c, wh in enumerate(self.weak):
             cells = wh.ball_cells(x, r, cap)
             if cells is not OVER_CAP:
+                if c > self.top:
+                    self.top = c
                 out = (c, wh.eval(x))
                 if len(self._eval_cache) >= _CACHE_LIMIT:
                     self._eval_cache.clear()
@@ -208,21 +214,26 @@ class ConsistentHash:
                 return out
         raise NoColorError(f"no color admits point {x} under cap {cap}")
 
-    def ball_buckets(self, x, radius: float | None = None) -> set:
+    def ball_buckets(self, x, radius: float | None = None,
+                     upto: int | None = None) -> set:
         """Size-(<= lambda_cap) value set sandwiched between the hash image
         of ball(x, radius) and of ball(x, radius + rho).
 
-        radius defaults to rho/gamma and must not exceed it.
+        radius defaults to rho/gamma and must not exceed it. upto keeps only
+        the values of colors 0..upto: a lookup matched against stored values
+        passes `top`, since no stored value has a higher color. The default
+        is the full enumeration the contract is stated for.
         """
         if radius is None:
             radius = self.rho / self.params.gamma
-        key = (x, radius)
+        key = (x, radius, upto)
         hit = self._bucket_cache.get(key)
         if hit is not None:
             return hit
         cap = self.per_color_cap
         out = set()
-        for c, wh in enumerate(self.weak):
+        weak = self.weak if upto is None else self.weak[:upto + 1]
+        for c, wh in enumerate(weak):
             cells = wh.ball_cells(x, radius, cap)
             if cells is OVER_CAP:
                 continue
@@ -242,6 +253,11 @@ def hash_level(owner, i, x):
     (key, point) pairs currently hashed at level i, and
     `_install_level(i, cells)`, which rebuilds level i from a key -> value map.
 
+    The owner's lookups enumerate colors only up to the level's `top`. When
+    x is the first item of the level to take a higher color, the level is
+    rebuilt through `_install_level` before x's value is returned, so every
+    footprint the owner stores is recomputed at the new bound.
+
     When the level's family fails on x, it is resampled and every item of the
     level is rehashed together with x; the level is rebuilt only once all of
     them hash. A further failure while rehashing resamples again. After
@@ -249,10 +265,16 @@ def hash_level(owner, i, x):
     left as it was, and NoColorError propagates.
     """
     h = owner.hashes[i]
+    top = h.top
     try:
-        return h.eval(x)
+        z = h.eval(x)
     except NoColorError:
         pass
+    else:
+        if h.top > top:
+            owner._install_level(
+                i, {key: h.eval(p) for key, p in owner._level_items(i)})
+        return z
     start = h.attempt
     items = owner._level_items(i)
     for _ in range(NOCOLOR_ATTEMPTS):
@@ -266,5 +288,6 @@ def hash_level(owner, i, x):
         owner._install_level(i, cells)
         return z
     h._sample(start)
+    h.top = top
     raise NoColorError(f"level {i}: no hash family in {NOCOLOR_ATTEMPTS} "
                        f"resamples admits {x}")

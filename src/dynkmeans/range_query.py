@@ -209,7 +209,8 @@ class RangeIndex:
             return ([self.global_summary] if self.registry else []), ids
         i = level_for_radius(r, self.max_level)
         self._materialize(i)
-        values = self.hashes[i].ball_buckets(x, radius=min(r, float(1 << i)))
+        h = self.hashes[i]
+        values = h.ball_buckets(x, radius=min(r, float(1 << i)), upto=h.top)
         out = []
         for z in values:
             b = self.buckets[i].get(z)
@@ -300,7 +301,8 @@ class CenterIndex:
 
     def _footprint(self, i, p):
         # bucket enumeration skips overflowing colors instead of failing
-        return tuple(self.hashes[i].ball_buckets(p, radius=float(1 << i)))
+        h = self.hashes[i]
+        return tuple(h.ball_buckets(p, radius=float(1 << i), upto=h.top))
 
     def _level_items(self, i):
         return [(s, s) for s in self.centers]
@@ -457,7 +459,8 @@ class CenterIndex:
         for i in range(0, self.L + 1):
             if max_dist is not None and i > 0 and float(1 << (i - 1)) > max_dist:
                 return None
-            values = self.hashes[i].ball_buckets(x, radius=float(1 << i))
+            h = self.hashes[i]
+            values = h.ball_buckets(x, radius=float(1 << i), upto=h.top)
             for z in values:
                 members = self.cells[i].get(z)
                 if not members:

@@ -4,9 +4,12 @@ and summary byte for byte under a fixed time source.
 Regenerate the files under tests/golden/ (only when a behaviour change is
 intended) with:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+Named cases are regenerated; with no names, every case is.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,9 +71,16 @@ def test_golden_replay(name):
     assert res.summary_text() == (GOLDEN / f"{name}.summary").read_text()
 
 
-def regenerate():
+def regenerate(names=()):
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}; "
+              f"cases: {', '.join(CASES)}", file=sys.stderr)
+        raise SystemExit(2)
     GOLDEN.mkdir(exist_ok=True)
     for name, (gkw, _, _) in CASES.items():
+        if names and name not in names:
+            continue
         gkw = dict(gkw)
         stream = gen_workload(gkw.pop("mode"), gkw.pop("n"), gkw.pop("d"),
                               gkw.pop("delta"), gkw.pop("k"), **gkw)
@@ -81,4 +91,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -149,3 +149,45 @@ def test_determinism_same_seed():
     for x in itertools.product(range(1, 17, 2), repeat=2):
         assert h1.eval(x) == h2.eval(x)
         assert h1.ball_buckets(x) == h2.ball_buckets(x)
+
+
+# every color is handed out on this grid, and no point meets a NoColor event
+P_COLORS = Params(epsilon=0.5, d=2, delta=16, colors=4, lambda_cap=8, seed=14)
+
+
+def test_ball_buckets_upto_is_full_enumeration_cut_at_color():
+    h = ConsistentHash(P_COLORS, rho=4.0, seed_tag="t")
+    cut_short = 0
+    for x in itertools.product(range(1, 17, 3), repeat=2):
+        for r in (1.0, 2.0, None):
+            full = h.ball_buckets(x, r)
+            for c in range(P_COLORS.colors):
+                want = {v for v in full if v[0] <= c}
+                assert h.ball_buckets(x, r, upto=c) == want
+                cut_short += want != full
+    assert cut_short > 0
+
+
+def test_top_is_highest_color_evaluated_and_resets_on_resample():
+    h = ConsistentHash(P_COLORS, rho=4.0, seed_tag="t")
+    assert h.top == 0
+    seen = 0
+    for x in itertools.product(range(1, 17), repeat=2):
+        seen = max(seen, h.eval(x)[0])
+        assert h.top == seen
+    assert seen == P_COLORS.colors - 1
+    h.resample()
+    assert h.top == 0
+
+
+def test_ball_buckets_memo_keyed_by_upto():
+    x = (7, 7)
+    fresh = ConsistentHash(P_COLORS, rho=4.0, seed_tag="t")
+    full = fresh.ball_buckets(x)
+    cut = {v for v in full if v[0] == 0}
+    assert cut != full
+    h = ConsistentHash(P_COLORS, rho=4.0, seed_tag="t")
+    assert h.ball_buckets(x, upto=0) == cut
+    assert h.ball_buckets(x) == full
+    assert h.ball_buckets(x, upto=0) == cut
+    assert h.ball_buckets(x, upto=P_COLORS.colors - 1) == full

@@ -1,12 +1,16 @@
 """NoColor recovery: every structure over consistent hashing resamples a
 failed level and rehashes it, up to hashing.NOCOLOR_ATTEMPTS times; after
-that it raises and is left as it was before the call."""
+that it raises and is left as it was before the call.
+
+Color widening: lookups enumerate colors only up to the highest one their
+level has handed out; the first item of a higher color rebuilds the level,
+after which every answer equals the one from the full enumeration."""
 
 import pytest
 
 from dynkmeans.assignment import AssignmentStructure
 from dynkmeans.errors import NoColorError
-from dynkmeans.hashing import NOCOLOR_ATTEMPTS
+from dynkmeans.hashing import NOCOLOR_ATTEMPTS, OVER_CAP, ConsistentHash
 from dynkmeans.params import Params
 from dynkmeans.range_query import CenterIndex, RangeIndex
 from dynkmeans.rng import make_rng
@@ -17,7 +21,7 @@ PTS = list(dict.fromkeys((_rng.randint(1, 64), _rng.randint(1, 64))
                          for _ in range(30)))
 NEW = (33, 31)
 NEW_KEY = len(PTS)
-PROBES = [(1, 1), (20, 40), (33, 30), (64, 64), (50, 10)]
+PROBES = [(1, 1), (20, 40), (33, 30), (64, 64), (50, 10), (32, 40)]
 assert NEW not in PTS
 
 
@@ -62,7 +66,8 @@ def _centers(level=None):
 
 def _centers_state(ci):
     return ([ci.ann_query(x) for x in PROBES],
-            sorted((s, ci.dhat(s), sorted(info["cells"].items()))
+            sorted((s, ci.dhat(s), bytes(ci.bits[s]),
+                    sorted(info["cells"].items()))
                    for s, info in ci.centers.items()))
 
 
@@ -148,3 +153,74 @@ def test_nocolor_gives_up_after_bound(name):
     fresh = build()
     op(fresh)
     assert state(s) == state(fresh)
+
+
+def _force_color_1(h, x):
+    """Make color 0 of h overflow on x's evaluation ball only, so h.eval(x)
+    returns color 1 while every bucket enumeration is left as it was."""
+    wh = h.weak[0]
+    real = wh.ball_cells
+    r_eval = 2.0 * h.rho / h.params.gamma
+
+    def ball_cells(y, r, cap):
+        if y == x and r == r_eval:
+            return OVER_CAP
+        return real(y, r, cap)
+    object.__setattr__(wh, "ball_cells", ball_cells)    # WeakHash is frozen
+
+
+# sqrt(2) from the center (32, 39), whose nearest other center is 13.3 away,
+# so NEAR alone sets its level-1 neighbor bit
+NEAR = (33, 40)
+assert NEAR not in PTS
+
+# name -> (build, state, the insert of NEAR, its registry, the id it adds,
+# the level whose top color NEAR raises)
+WIDEN = {
+    "range_index": (_range, _range_state,
+                    lambda idx: idx.insert(NEW_KEY, NEAR, 1.0),
+                    lambda idx: idx.registry, NEW_KEY, 2),
+    "center_index": (_centers, _centers_state, lambda ci: ci.insert(NEAR),
+                     lambda ci: ci.centers, NEAR, 1),
+    "assignment": (_assign, _assign_state,
+                   lambda a: a.point_insert(NEW_KEY, NEAR, 1.0),
+                   lambda a: a.points, NEW_KEY, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDEN))
+def test_color_widening_matches_full_enumeration(name, monkeypatch):
+    build, state, op, registry, new_id, level = WIDEN[name]
+
+    def widened():
+        s = build()
+        h = s.hashes[level]
+        assert h.top == 0
+        _force_color_1(h, NEAR)
+        op(s)
+        assert h.top == 1
+        assert new_id in registry(s)
+        return s
+
+    s = widened()
+    with monkeypatch.context() as m:
+        full = ConsistentHash.ball_buckets
+        m.setattr(ConsistentHash, "ball_buckets",
+                  lambda self, x, radius=None, upto=None: full(self, x, radius))
+        want = state(widened())
+    assert state(s) == want
+    assert s.nocolor_events == 0
+    if name == "assignment":
+        assert not s.audit_partition()
+        assert not s.audit_equidistant(PTS[:4])
+
+
+def test_given_up_resample_keeps_color_bound():
+    ci = _centers()
+    h = ci.hashes[1]
+    _force_color_1(h, NEAR)
+    ci.insert(NEAR)
+    _stub(h, fail_always=True)
+    with pytest.raises(NoColorError):
+        ci.insert(NEW)
+    assert h.top == 1                    # NEAR's color-1 cell is still stored
