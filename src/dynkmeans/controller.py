@@ -59,9 +59,8 @@ class DynamicKMeans(ClusterContext):
 
         super().__init__(
             AssignmentStructure(params, seed_tag=(seed_tag, "assign")),
-            CenterIndex(params, (seed_tag, "nbr"), track_dist=True,
-                        gammas=self.sched.indicator_gammas),
-            CenterIndex(params, (seed_tag, "cent")))
+            CenterIndex(params, (seed_tag, "nbr"),
+                        gammas=self.sched.indicator_gammas))
         self.X = WeightedSet(params.d)
         self.ball1m = BallOneMeans(params, seed_tag=(seed_tag, "b1m"))
 
@@ -95,7 +94,7 @@ class DynamicKMeans(ClusterContext):
     @property
     def nocolor_events(self):
         return (self.assign.nocolor_events + self.ball1m.nocolor_events
-                + self.nbr.nocolor_events + self.cent.nocolor_events)
+                + self.cent.nocolor_events)
 
     def solution(self) -> frozenset:
         if self.force_solution is not None:
@@ -110,7 +109,7 @@ class DynamicKMeans(ClusterContext):
         return self.X.cost(self.S_out)
 
     def _pump_yellow(self):
-        for s, _gamma, _bit in self.nbr.drain_events():
+        for s, _gamma, _bit in self.cent.drain_events():
             if s not in self.yellow_set:
                 self.yellow_set.add(s)
                 self.yellow.append(s)
@@ -206,7 +205,7 @@ class DynamicKMeans(ClusterContext):
 
     def _touch(self, point):
         if self.epoch_live and point not in self.start_counts:
-            self.start_counts[point] = self.X._by_point.get(point, (0, 0.0))[0]
+            self.start_counts[point] = self.X._by_point.get(point, 0)
             self.plus_order.append(point)
 
     # ---------------------------------------------------- activation switch
@@ -271,10 +270,10 @@ class DynamicKMeans(ClusterContext):
     def _end_epoch(self):
         sched = self.sched
         touched = [p for p in self.plus_order
-                   if self.X._by_point.get(p, (0, 0.0))[0] != self.start_counts[p]]
+                   if self.X._by_point.get(p, 0) != self.start_counts[p]]
         x_plus = [p for p in touched
                   if self.start_counts[p] == 0
-                  and self.X._by_point.get(p, (0, 0.0))[0] > 0]
+                  and self.X._by_point.get(p, 0) > 0]
 
         # contaminated survivors of the previous solution, one candidate per
         # robustness level per touched point
@@ -325,7 +324,7 @@ class DynamicKMeans(ClusterContext):
             self.yellow_set.discard(u)
             if u not in self.struct_centers:
                 continue
-            t_check = self._smallest_t(self.nbr.dhat(u), self.sched.robust_div)
+            t_check = self._smallest_t(self.cent.dhat(u), self.sched.robust_div)
             if self.t_of.get(u, -1) >= t_check:
                 continue
             if u in produced:
@@ -345,7 +344,7 @@ class DynamicKMeans(ClusterContext):
 
     def _make_robust(self, u, call_type: str) -> tuple:
         sched = self.sched
-        t = self._smallest_t(self.nbr.dhat(u), sched.makerobust_div)
+        t = self._smallest_t(self.cent.dhat(u), sched.makerobust_div)
         x = u
         steps = []
         for j in range(t, 0, -1):

@@ -53,8 +53,7 @@ class WeightedSet:
     def __init__(self, d: int):
         self.d = d
         self.entries: dict = {}          # id -> (point, weight)
-        self.total_weight = 0.0
-        self._by_point: dict = {}        # point -> (count, weight)
+        self._by_point: dict = {}        # point -> count
         self._rows = np.zeros((16, d), dtype=np.float64)
         self._row_w = np.zeros(16, dtype=np.float64)
         self._id2row: dict = {}
@@ -77,9 +76,7 @@ class WeightedSet:
         if len(point) != self.d:
             raise UsageError("dimension mismatch")
         self.entries[key] = (point, weight)
-        self.total_weight += weight
-        c, w = self._by_point.get(point, (0, 0.0))
-        self._by_point[point] = (c + 1, w + weight)
+        self._by_point[point] = self._by_point.get(point, 0) + 1
         row = len(self._row2id)
         if row >= self._rows.shape[0]:
             self._rows = np.resize(self._rows, (2 * row, self.d))
@@ -93,12 +90,11 @@ class WeightedSet:
         if key not in self.entries:
             raise UsageError(f"unknown id {key!r}")
         point, weight = self.entries.pop(key)
-        self.total_weight -= weight
-        c, w = self._by_point[point]
+        c = self._by_point[point]
         if c == 1:
             del self._by_point[point]
         else:
-            self._by_point[point] = (c - 1, w - weight)
+            self._by_point[point] = c - 1
         row = self._id2row.pop(key)
         last = len(self._row2id) - 1
         last_id = self._row2id[last]
@@ -112,10 +108,6 @@ class WeightedSet:
 
     def get(self, key):
         return self.entries[key]
-
-    def point_weight(self, point: GridPoint) -> float:
-        """Total weight of entries sitting exactly at `point`."""
-        return self._by_point.get(point, (0, 0.0))[1]
 
     def points(self):
         for point, weight in self.entries.values():

@@ -92,9 +92,6 @@ class MergeReduceSparsifier:
         self._uid += 1
         return self._uid
 
-    def size_bound(self) -> int:
-        return (len(self.sketches) + 2) * self.block
-
     def _reduce(self, sketch: _Sketch):
         """Unpublish and resample a sketch from its live sources."""
         deltas = [("delete", uid, None, None) for uid in sketch.published]

@@ -142,23 +142,21 @@ def static_weighted_kmeans(points, weights, k: int, rng):
 
 class ClusterContext:
     """The center-side structures the restricted and augmented subroutines
-    run against: the assignment structure, the distance-tracking center
-    index `nbr` (importance ordering) and the ANN index `cent`, kept in step
-    by center_add and center_remove. The epoch controller extends it with
-    its own bookkeeping; from_instance builds a static (X, S) instance."""
+    run against: the assignment structure and the center index `cent`, whose
+    cells answer both the ANN queries and the distance bounds behind the
+    importance ordering, kept in step by center_add and center_remove. The
+    epoch controller extends it with its own bookkeeping; from_instance
+    builds a static (X, S) instance."""
 
-    def __init__(self, assign: AssignmentStructure, nbr: CenterIndex,
-                 cent: CenterIndex):
+    def __init__(self, assign: AssignmentStructure, cent: CenterIndex):
         self.assign = assign
-        self.nbr = nbr
         self.cent = cent
 
     @classmethod
     def from_instance(cls, params: Params, points_weights, centers,
                       seed_tag="ctx"):
         ctx = cls(AssignmentStructure(params, seed_tag=(seed_tag, "as")),
-                  CenterIndex(params, (seed_tag, "nbr"), track_dist=True),
-                  CenterIndex(params, (seed_tag, "ann")))
+                  CenterIndex(params, (seed_tag, "nbr")))
         for s in centers:
             ctx.center_add(s)
         for key, (p, w) in enumerate(points_weights):
@@ -168,13 +166,11 @@ class ClusterContext:
     def center_add(self, s, tag=None):
         s = tuple(s)
         self.assign.center_insert(s)
-        self.nbr.insert(s)
         self.cent.insert(s, tag=tag)
 
     def center_remove(self, s):
         s = tuple(s)
         self.assign.center_delete(s)
-        self.nbr.delete(s)
         self.cent.delete(s)
 
     def centers(self):
@@ -184,7 +180,7 @@ class ClusterContext:
         return self.assign.weight(s)
 
     def ordering(self):
-        return self.assign.ordering(self.nbr.dhat)
+        return self.assign.ordering(self.cent.dhat)
 
     def d2_sample(self, rng):
         return self.assign.d2_sample(rng)[1]

@@ -159,7 +159,7 @@ def check_indicators(rng, params, gammas, steps, seed_tag):
     changed its bit and no change went unreported; and indicator i is 1 when
     d <= gammas[i] and 0 when d > 6*gamma*gammas[i]. Returns (indicator
     violations, dhat violations)."""
-    ci = CenterIndex(params, seed_tag, track_dist=True, gammas=gammas)
+    ci = CenterIndex(params, seed_tag, gammas=gammas)
     S = set()
     bits = {}
     bad = dhat_bad = 0
@@ -381,15 +381,19 @@ def check_certificates(dk, stream, stop_calls=None) -> CertCheck:
 
 # --------------------------------------------------------------- sparsifier
 
+def u_size_bound(sparsifier, n: int) -> float:
+    """Criterion 16's bound on |U| over n updates: c_u*k*log2(n)^2 + 2*block."""
+    return (sparsifier.c_u * sparsifier.k * math.log2(max(n, 4)) ** 2
+            + 2 * sparsifier.block)
+
+
 def check_sparsified(runner, stream):
     """Criterion 16: replay `stream` through a SparsifiedRunner. After every
     update the primary's cost on U stays within alpha times the verifier
-    minimum, and |U| within c_u*k*log2(n)^2 + 2*block for n updates. Returns
+    minimum, and |U| within u_size_bound for the stream's length. Returns
     (contract violations, size violations, most primary resets in one
     update)."""
-    sp = runner.sparsifier
-    n = len(stream.records)
-    bound = sp.c_u * runner.k * math.log2(max(n, 4)) ** 2 + 2 * sp.block
+    bound = u_size_bound(runner.sparsifier, len(stream.records))
     contract_bad = size_bad = burst_max = 0
     for op, key, point, w in stream.ops():
         burst_max = max(burst_max, runner.update(op, key, point, w))

@@ -125,11 +125,9 @@ def test_weighted_set_basics():
     X = WeightedSet(2)
     X.insert("a", (1, 2), 2.0)
     X.insert("b", (4, 5), 1.0)
-    assert X.total_weight == 3.0
-    assert X.point_weight((1, 2)) == 2.0
     assert X.cost([(1, 2)]) == 1.0 * dist2((4, 5), (1, 2))
     X.delete("a")
-    assert X.total_weight == 1.0
+    assert len(X) == 1 and X.get("b") == ((4, 5), 1.0)
     with pytest.raises(UsageError):
         X.delete("a")
     with pytest.raises(UsageError):
@@ -188,13 +186,13 @@ def test_weighted_set_totals_property(entries, deletes):
     deletes = list(deletes)
     for i, (a, b, w) in enumerate(entries):
         X.insert(i, (a, b), w)
-        live[i] = w
+        live[i] = ((a, b), w)
         if deletes and deletes.pop() and live:
             key = next(iter(live))
             X.delete(key)
             del live[key]
     assert len(X) == len(live)
-    assert math.isclose(X.total_weight, sum(live.values()),
+    assert math.isclose(X.cost([(1, 1)]), cost(live.values(), [(1, 1)]),
                         rel_tol=1e-9, abs_tol=1e-9)
 
 

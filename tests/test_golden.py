@@ -63,12 +63,58 @@ def replay(name, stream):
     return run_stream(stream, params, time_source=fixed_clock(), **run_kw)
 
 
+def _summary_keys(text):
+    return dict(line.partition("=")[::2] for line in text.splitlines())
+
+
+def mismatch(name, got_csv, want_csv, got_summary, want_summary):
+    """None when both replays match byte for byte, else a short report: the
+    first differing CSV line with its number, and the summary keys that
+    differ. Kept short so a failing case reports at once."""
+    out = []
+    if got_csv != want_csv:
+        got, want = got_csv.splitlines(True), want_csv.splitlines(True)
+        n = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                 min(len(got), len(want)))
+        g = got[n] if n < len(got) else "<end of file>"
+        w = want[n] if n < len(want) else "<end of file>"
+        out.append(f"{name}.csv: first difference at line {n + 1} "
+                   f"(got {len(got)} lines, want {len(want)}):\n"
+                   f"  got:  {g!r}\n  want: {w!r}")
+    if got_summary != want_summary:
+        got, want = _summary_keys(got_summary), _summary_keys(want_summary)
+        keys = [k for k in dict.fromkeys([*want, *got])
+                if got.get(k) != want.get(k)]
+        diff = "".join(f"\n  {k}: got {got.get(k)!r}, want {want.get(k)!r}"
+                       for k in keys)
+        out.append(f"{name}.summary: keys differ:{diff or ' (bytes only)'}")
+    return "\n".join(out) or None
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_replay(name):
     stream = UpdateStream.parse((GOLDEN / f"{name}.stream").read_text())
     res = replay(name, stream)
-    assert res.metrics_csv() == (GOLDEN / f"{name}.csv").read_text()
-    assert res.summary_text() == (GOLDEN / f"{name}.summary").read_text()
+    report = mismatch(name, res.metrics_csv(),
+                      (GOLDEN / f"{name}.csv").read_text(),
+                      res.summary_text(),
+                      (GOLDEN / f"{name}.summary").read_text())
+    if report is not None:
+        pytest.fail(report, pytrace=False)
+
+
+def test_mismatch_reports_first_line_and_summary_keys():
+    csv = "h\n" + "".join(f"{i},x\n" for i in range(600))
+    changed = csv.replace("\n300,x\n", "\n300,y\n")
+    assert mismatch("c", csv, csv, "a=1\nb=2\n", "a=1\nb=2\n") is None
+    report = mismatch("c", changed, csv, "a=1\nb=3\n", "a=1\nb=2\n")
+    assert report == ("c.csv: first difference at line 302 "
+                      "(got 601 lines, want 601):\n"
+                      "  got:  '300,y\\n'\n  want: '300,x\\n'\n"
+                      "c.summary: keys differ:\n  b: got '3', want '2'")
+    short = mismatch("c", csv[:-6], csv, "", "")
+    assert "line 601 (got 600 lines, want 601)" in short
+    assert "got:  '<end of file>'" in short
 
 
 def regenerate(names=()):

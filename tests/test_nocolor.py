@@ -56,7 +56,7 @@ def _levels_state(idx):
 
 
 def _centers(level=None):
-    ci = CenterIndex(P, "nc", track_dist=True)
+    ci = CenterIndex(P, "nc")
     if level is not None:
         ci.hashes[level].resample()
     for s in PTS:

@@ -144,7 +144,7 @@ def test_ann_tag_filter():
 
 
 def test_indicator_adjacent_centers_bit_one():
-    ci = CenterIndex(P, "ind", track_dist=True, gammas=(1.0,))
+    ci = CenterIndex(P, "ind", gammas=(1.0,))
     ci.insert((5, 5))
     ci.insert((5, 6))
     assert ci.indicator_bit((5, 5), 0) == 1
@@ -153,7 +153,7 @@ def test_indicator_adjacent_centers_bit_one():
 
 def test_indicator_isolated_center_bit_zero():
     gamma_val = 1.0
-    ci = CenterIndex(P, "ind", track_dist=True, gammas=(gamma_val,))
+    ci = CenterIndex(P, "ind", gammas=(gamma_val,))
     ci.insert((1, 1))
     ci.insert((64, 64))
     assert dist((1, 1), (64, 64)) > 6 * P.gamma * gamma_val
@@ -161,7 +161,7 @@ def test_indicator_isolated_center_bit_zero():
 
 
 def test_indicator_deletion_flip_reported():
-    ci = CenterIndex(P, "ind", track_dist=True, gammas=(1.0,))
+    ci = CenterIndex(P, "ind", gammas=(1.0,))
     ci.insert((5, 5))
     ci.insert((5, 6))
     ci.insert((60, 60))
@@ -172,7 +172,7 @@ def test_indicator_deletion_flip_reported():
 
 
 def test_indicator_flips_exact_vs_recompute():
-    ci = CenterIndex(P, "ind", track_dist=True, gammas=(1.0, 4.0, 16.0))
+    ci = CenterIndex(P, "ind", gammas=(1.0, 4.0, 16.0))
     rng = make_rng(7, "ind")
     S = set()
     bits = {}
@@ -206,7 +206,7 @@ def test_indicator_flips_exact_vs_recompute():
 
 
 def test_dhat_two_point_bounds():
-    ci = CenterIndex(P, "dh", track_dist=True)
+    ci = CenterIndex(P, "dh")
     ci.insert((10, 10))
     assert math.isinf(ci.dhat((10, 10)))
     ci.insert((20, 10))
@@ -216,7 +216,7 @@ def test_dhat_two_point_bounds():
 
 
 def test_dhat_adjacent_insertion_forces_small():
-    ci = CenterIndex(P, "dh", track_dist=True)
+    ci = CenterIndex(P, "dh")
     ci.insert((30, 30))
     ci.insert((50, 50))
     ci.insert((30, 31))
@@ -224,7 +224,7 @@ def test_dhat_adjacent_insertion_forces_small():
 
 
 def test_dhat_dynamic_sweep_two_sided():
-    ci = CenterIndex(P, "dh", track_dist=True)
+    ci = CenterIndex(P, "dh")
     rng = make_rng(8, "dh")
     S = set()
     for step in range(400):

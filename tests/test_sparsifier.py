@@ -7,6 +7,7 @@ from dynkmeans.params import Params
 from dynkmeans.sparsifier import (MergeReduceSparsifier, SparsifiedRunner,
                                   sensitivity_sample)
 from dynkmeans.rng import make_np_rng, make_rng
+from dynkmeans.verify import u_size_bound
 from dynkmeans.workload import gen_workload
 
 P = Params(epsilon=0.5, d=2, delta=256, seed=61)
@@ -33,7 +34,8 @@ def test_sparsifier_u_is_subset_of_live():
     rng = make_rng(2, "sp")
     live = {}
     published = {}
-    for i in range(300):
+    n = 300
+    for i in range(n):
         if live and rng.random() < 0.35:
             key = rng.choice(sorted(live))
             deltas = sp.delete(key)
@@ -49,7 +51,7 @@ def test_sparsifier_u_is_subset_of_live():
                 del published[uid]
         live_pts = set(live.values())
         assert set(published.values()) <= live_pts
-        assert len(published) <= sp.size_bound()
+        assert len(published) <= u_size_bound(sp, n)
 
 
 def test_sparsifier_duplicate_and_unknown_ids():

@@ -162,7 +162,8 @@ def test_restricted_t2_ann_contract():
 
 
 def test_restricted_leaves_center_index_unchanged(monkeypatch):
-    # 9 centers and r = 1: the sketch masks the 6 cheapest in cent, read-only
+    # 9 centers and r = 1: the sketch masks the 6 cheapest in the one center
+    # index, read-only
     rng = make_rng(20, "r")
     pw, S = _instance(rng, 30, 9)
     ctx = ClusterContext.from_instance(P, pw, S, seed_tag="t12")
@@ -177,6 +178,25 @@ def test_restricted_leaves_center_index_unchanged(monkeypatch):
     assert len(R) == 1 and R <= S
     assert writes == []
     assert ctx.cent.centers == before
+
+
+def test_ann_answers_at_the_dhat_level():
+    # dhat(s) is read from ell[s], the first level whose footprint cells of s
+    # hold another center; ann_query(s) must answer from those same cells
+    rng = make_rng(21, "r")
+    checked = 0
+    for t in range(30):
+        pw, S = _instance(rng, 20, rng.randint(2, 30))
+        ctx = ClusterContext.from_instance(P, pw, S, seed_tag=("t13", t))
+        idx = ctx.cent
+        for s in idx.centers:
+            e = idx.ell[s]
+            assert e is not None and idx.dhat(s) == 3.0 * P.gamma * (1 << e)
+            near = set().union(*(idx.cells[e].get(c, ())
+                                 for c in idx.footprints[s][e]))
+            assert idx.ann_query(s) in near - {s}
+            checked += 1
+    assert checked >= 300
 
 
 def test_augmented_empty_when_no_mass():
