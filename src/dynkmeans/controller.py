@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from .assignment import AssignmentStructure
@@ -38,14 +37,15 @@ class MakeRobustRecord:
     v: tuple
     t: int
     call_type: str          # "bootstrap" | "fresh" | "contaminated" | "yellow"
-    chain_len: int
     steps: list = field(default_factory=list)
 
 
 class DynamicKMeans(ClusterContext):
-    """The epoch controller over its own center structures; center_add and
-    center_remove also keep the center set, the robustness levels and
-    certificates, and the yellow queue in step."""
+    """The epoch controller over its own center structures. The bundle is
+    the one record of which centers exist and at which robustness level (a
+    center's `cent` tag, None until it is made robust); center_remove also
+    drops a removed center's certificate. The yellow queue is filled from
+    the index's indicator flips when robustify runs."""
 
     def __init__(self, params: Params, k: int, seed_tag="dk", witness: bool = False,
                  sched=None):
@@ -64,13 +64,10 @@ class DynamicKMeans(ClusterContext):
         self.X = WeightedSet(params.d)
         self.ball1m = BallOneMeans(params, seed_tag=(seed_tag, "b1m"))
 
-        self.struct_centers: set = set()
         self.S_out: set = set()
-        self.t_of: dict = {}
         self.certs: dict = {}
         self.type3_chain: dict = {}
-        self.yellow: deque = deque()
-        self.yellow_set: set = set()
+        self.yellow: dict = {}         # centers to re-check, in flip order
 
         self.active = False            # epochs running
         self.epoch_live = False        # inside an epoch
@@ -101,33 +98,17 @@ class DynamicKMeans(ClusterContext):
             return frozenset(self.force_solution)
         return frozenset(self.S_out)
 
-    def solution_cost(self) -> float:
-        if not self.X.entries:
-            return 0.0
-        if not self.S_out:
-            return math.inf
-        return self.X.cost(self.S_out)
-
-    def _pump_yellow(self):
-        for s, _gamma, _bit in self.cent.drain_events():
-            if s not in self.yellow_set:
-                self.yellow_set.add(s)
-                self.yellow.append(s)
-
-    def center_add(self, s, tag=None):
-        s = tuple(s)
-        super().center_add(s, tag)
-        self.struct_centers.add(s)
-        self._pump_yellow()
+    def level(self, s, default):
+        """Robustness level of center s: its `cent` tag, or `default` while
+        s has not been made robust."""
+        t = self.cent.centers[s].tag
+        return default if t is None else t
 
     def center_remove(self, s):
         s = tuple(s)
         super().center_remove(s)
-        self.struct_centers.discard(s)
-        self.t_of.pop(s, None)
         self.certs.pop(s, None)
         self.type3_chain.pop(s, None)
-        self._pump_yellow()
 
     def _smallest_t(self, dhat: float, div: float):
         """Smallest t with lam^(3t) >= dhat / div, or t_cap when no t in
@@ -217,18 +198,18 @@ class DynamicKMeans(ClusterContext):
             ws.append(w)
         seed = static_weighted_kmeans(pts, ws, self.k, self.rng)
         for s in seed:
-            if s not in self.struct_centers:
+            if s not in self.cent.centers:
                 self.center_add(s)
-        self._robustify(fresh=set(self.struct_centers), contaminated=set())
-        self.S_out = set(self.struct_centers)
+        self._robustify(fresh=set(self.cent.centers), contaminated=set())
+        self.S_out = set(self.cent.centers)
         self.active = True
         self.epoch_live = False
 
     def _deactivate(self):
-        for s in sorted(self.struct_centers):
+        for s in sorted(self.cent.centers):
             self.center_remove(s)
+        self.cent.drain_events()
         self.yellow.clear()
-        self.yellow_set.clear()
         self.S_out = set(self.X.distinct_points())
         self.active = False
         self.epoch_live = False
@@ -236,7 +217,7 @@ class DynamicKMeans(ClusterContext):
     # ------------------------------------------------------------- the epoch
 
     def _start_epoch(self):
-        self.S_init = frozenset(self.struct_centers)
+        self.S_init = frozenset(self.cent.centers)
         self.ell_hat, self.ell = self._estimate_ell()
         if self.ell >= 1:
             removed = restricted_kmeans(self, self.ell, self.rng)
@@ -289,21 +270,20 @@ class DynamicKMeans(ClusterContext):
         a = max(1, math.ceil(sched.augment_per_update * (self.ell + 1)))
         augmented_kmeans(self, a, sched.d2_samples, self.rng)
         for p in x_plus:
-            if p not in self.struct_centers:
+            if p not in self.cent.centers:
                 self.center_add(p, tag=None)
 
-        t_prime = set(self.struct_centers)
-        r = len(t_prime) - self.k
+        r = len(self.cent.centers) - self.k
         if r >= 1:
             removed = restricted_kmeans(self, r, self.rng)
             for s in sorted(removed):
                 self.center_remove(s)
-        w_prime = set(self.struct_centers)
+        w_prime = set(self.cent.centers)
         assert len(w_prime) <= self.k
 
         fresh = w_prime - self.S_init
         self._robustify(fresh=fresh, contaminated=contaminated & w_prime)
-        self.S_out = set(self.struct_centers)
+        self.S_out = set(self.cent.centers)
         self.epoch_live = False
 
     # ------------------------------------------------------------- robustify
@@ -311,7 +291,7 @@ class DynamicKMeans(ClusterContext):
     def _robustify(self, fresh: set, contaminated: set):
         produced = set()
         for u in sorted(fresh | contaminated):
-            if u not in self.struct_centers:
+            if u not in self.cent.centers:
                 continue
             kind = "fresh" if u in fresh else "contaminated"
             if not self.active and not self.epoch_live:
@@ -319,24 +299,28 @@ class DynamicKMeans(ClusterContext):
             v = self._make_robust(u, kind)
             produced.add(v)
             self.type3_chain[v] = 0
-        while self.yellow:
-            u = self.yellow.popleft()
-            self.yellow_set.discard(u)
-            if u not in self.struct_centers:
+        while True:
+            for s, _gamma, _bit in self.cent.drain_events():
+                self.yellow.setdefault(s)
+            if not self.yellow:
+                break
+            u = next(iter(self.yellow))
+            del self.yellow[u]
+            if u not in self.cent.centers:
                 continue
             t_check = self._smallest_t(self.cent.dhat(u), self.sched.robust_div)
-            if self.t_of.get(u, -1) >= t_check:
+            old_t = self.level(u, -1)
+            if old_t >= t_check:
                 continue
             if u in produced:
                 self.violations.append(
                     f"robustify touched center {u} twice in one call")
                 continue
-            old_t = self.t_of.get(u, -1)
             chain = self.type3_chain.get(u, 0) + 1
             v = self._make_robust(u, "yellow")
             produced.add(v)
             self.type3_chain[v] = chain
-            if self.t_of[v] <= old_t:
+            if self.level(v, -1) <= old_t:
                 self.violations.append(
                     f"type-III call did not raise t level at {u}")
             if chain > max(1.0, math.log2(self.params.aspect)):
@@ -364,23 +348,19 @@ class DynamicKMeans(ClusterContext):
         v = x
         if v != u:
             self.center_remove(u)
-            if v in self.struct_centers:
-                t = max(t, self.t_of.get(v, 0))
+            if v in self.cent.centers:
+                t = max(t, self.level(v, 0))
                 self.cent.retag(v, t)
             else:
                 self.center_add(v, tag=t)
         else:
             self.cent.retag(u, t)
-        self.t_of[v] = t
-        rec = MakeRobustRecord(u=u, v=v, t=t, call_type=call_type,
-                               chain_len=self.type3_chain.get(u, 0),
-                               steps=steps)
+        rec = MakeRobustRecord(u=u, v=v, t=t, call_type=call_type, steps=steps)
         if self.witness:
             self.certs[v] = rec
         self.makerobust_cum += 1
         if self.on_makerobust is not None:
             self.on_makerobust(self, rec)
-        self._pump_yellow()
         return v
 
     # --------------------------------------------------------- certificates

@@ -93,16 +93,15 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
 
     direct = mode == "direct"
     if direct:
-        dk = DynamicKMeans(params, k, witness=witness, sched=sched)
-        full_x = dk.X
+        target = DynamicKMeans(params, k, witness=witness, sched=sched)
     else:
-        runner = SparsifiedRunner(params, k, n_hint=max(stream.n, 16),
+        target = SparsifiedRunner(params, k, n_hint=max(stream.n, 16),
                                   alpha=alpha, verifiers=verifiers)
-        full_x = WeightedSet(params.d)
+    ctrl = target if direct else target.primary   # a reset replaces the primary
+    full_x = WeightedSet(params.d)   # the live input, kept on the measuring side
 
     rows = []
     recourse_cum = 0
-    makerobust_cum = 0
     resets_cum = 0
     time_update_ns = 0
     time_baseline_ns = 0
@@ -110,35 +109,26 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
     cost_base = 0.0
     ratio = 1.0
     n_live_max = 0
-    epoch_len = 1
     prev_solution = frozenset()
 
     for idx, (op, key, point, weight) in enumerate(stream.ops(), start=1):
         if jl_matrix is not None and point is not None:
             point = jl_project(point, jl_matrix, params.delta)
         t0 = clock()
-        if direct:
-            report = dk.update(op, key, point, weight)
-            recourse_cum += report.recourse
-            makerobust_cum = dk.makerobust_cum
-            step_recourse = report.recourse
-            epoch_len = report.epoch_len
-            solution = dk.S_out
-        else:
-            if op == "insert":
-                full_x.insert(key, tuple(point), weight)
-            else:
-                full_x.delete(key)
-            resets_cum += runner.update(op, key, point, weight)
-            sol_now = runner.solution()
-            step_recourse = len(prev_solution.symmetric_difference(sol_now))
-            prev_solution = sol_now
-            recourse_cum += step_recourse
-            makerobust_cum = runner.primary.makerobust_cum
-            epoch_len = runner.primary.ell + 1
-            solution = sol_now
+        out = target.update(op, key, point, weight)
+        solution = target.solution()
         t1 = clock()
         time_update_ns += t1 - t0
+        if op == "insert":
+            full_x.insert(key, tuple(point), weight)
+        else:
+            full_x.delete(key)
+        if not direct:
+            resets_cum += out           # the runner returns its resets
+            ctrl = target.primary
+        step_recourse = len(prev_solution.symmetric_difference(solution))
+        prev_solution = solution
+        recourse_cum += step_recourse
 
         n_live = len(full_x)
         n_live_max = max(n_live_max, n_live)
@@ -159,11 +149,11 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
             "ratio": ratio,
             "recourse_step": step_recourse,
             "recourse_cum": recourse_cum,
-            "makerobust_cum": makerobust_cum,
+            "makerobust_cum": ctrl.makerobust_cum,
             "resets_cum": resets_cum,
             "time_us": (t1 - t0) // 1000,
             "n_live": n_live,
-            "epoch_len": epoch_len,
+            "epoch_len": ctrl.ell + 1,
         })
 
     n_updates = max(1, len(rows))
@@ -176,7 +166,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
         "amortized_time_us": time_update_ns / 1000 / n_updates,
         "time_updates_s": time_update_ns / 1e9,
         "time_baseline_s": time_baseline_ns / 1e9,
-        "makerobust_per_update": makerobust_cum / n_updates,
+        "makerobust_per_update": ctrl.makerobust_cum / n_updates,
         "resets_total": resets_cum,
         "ratio_p50": _pct(finite, 0.5),
         "ratio_p95": _pct(finite, 0.95),
@@ -185,11 +175,11 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
         "mode": mode,
     }
     if direct:
-        summary["nocolor_events"] = dk.nocolor_events
-        summary["instrumented_violations"] = len(dk.violations)
+        summary["nocolor_events"] = target.nocolor_events
+        summary["instrumented_violations"] = len(target.violations)
         if time_source is None:  # wall-clock only; breaks replay determinism
-            summary["time_points_s"] = dk.time_points_ns / 1e9
-            summary["time_epochs_s"] = dk.time_epoch_ns / 1e9
+            summary["time_points_s"] = target.time_points_ns / 1e9
+            summary["time_epochs_s"] = target.time_epoch_ns / 1e9
     return RunResult(rows=rows, summary=summary)
 
 

@@ -268,13 +268,24 @@ class BallOneMeans:
         )
 
 
+@dataclass(slots=True)
+class CenterRecord:
+    """What a CenterIndex keeps for one center."""
+    tag: object
+    cells: dict                 # level -> cell holding the center
+    footprints: dict            # level -> tuple of cells probed for neighbors
+    bits: bytearray             # neighbor bit per level
+    ind_bits: bytearray         # indicator bit per gamma
+    ell: Optional[int] = None   # min level with bit 1
+
+
 class CenterIndex:
     """Dynamic center set under the dyadic hash levels.
 
     One set of cells answers the ANN oracle (optionally restricted to a tag
     class) and keeps the per-scale neighbor bits, the maintained distance
     upper bound dhat(s, S - s), and threshold indicator bits with exact flip
-    reporting.
+    reporting. Each center has one CenterRecord in `centers`.
     """
 
     track_dist = True   # read by perfbench's tracer to name the update span
@@ -289,12 +300,8 @@ class CenterIndex:
         }
         self.cells = {i: {} for i in self.hashes}     # level -> cell -> set
         self.gammas = tuple(gammas)
-        self.centers = {}     # center -> dict(tag, cell per level)
+        self.centers = {}      # center -> CenterRecord
         self.listen = {i: {} for i in self.hashes}
-        self.footprints = {}   # center -> {level: tuple of cells}
-        self.bits = {}         # center -> bytearray over levels
-        self.ell = {}          # center -> min level with bit 1, or None
-        self.ind_bits = {}     # center -> bytearray over gammas
         self.events = []       # (center, gamma, new_bit)
         self.nocolor_events = 0
 
@@ -309,12 +316,12 @@ class CenterIndex:
     def _install_level(self, i, cells):
         self.cells[i] = {}
         for s, z in cells.items():
-            self.centers[s]["cells"][i] = z
+            self.centers[s].cells[i] = z
             self.cells[i].setdefault(z, set()).add(s)
         self.listen[i] = {}
-        for s in self.centers:
+        for s, rec in self.centers.items():
             fp = self._footprint(i, s)
-            self.footprints[s][i] = fp
+            rec.footprints[i] = fp
             for c in fp:
                 self.listen[i].setdefault(c, set()).add(s)
         for s in self.centers:
@@ -323,37 +330,38 @@ class CenterIndex:
     # -- scale bits and indicator thresholds ------------------------------
 
     def _probe_bit(self, s, i) -> bool:
-        for c in self.footprints[s][i]:
+        for c in self.centers[s].footprints[i]:
             members = self.cells[i].get(c)
             if members and (len(members) > 1 or s not in members):
                 return True
         return False
 
     def _set_bit(self, s, i, val: bool):
-        cur = bool(self.bits[s][i])
-        if cur == val:
+        rec = self.centers[s]
+        b = rec.bits
+        if bool(b[i]) == val:
             return
-        self.bits[s][i] = 1 if val else 0
-        old_ell = self.ell[s]
+        b[i] = 1 if val else 0
+        old_ell = rec.ell
         if val:
             if old_ell is None or i < old_ell:
-                self.ell[s] = i
+                rec.ell = i
         elif old_ell == i:
             nxt = None
-            b = self.bits[s]
             for j in range(i + 1, self.L + 1):
                 if b[j]:
                     nxt = j
                     break
-            self.ell[s] = nxt
-        if self.ell[s] != old_ell:
+            rec.ell = nxt
+        if rec.ell != old_ell:
             self._refresh_indicators(s)
 
     def dhat(self, s) -> float:
         """Maintained bound with dist <= dhat <= 6*gamma*dist; inf if |S|<2."""
-        if s not in self.centers:
+        rec = self.centers.get(s)
+        if rec is None:
             raise UsageError(f"unknown center {s!r}")
-        e = self.ell[s]
+        e = rec.ell
         if e is None:
             return INF
         return 3.0 * self.params.gamma * (1 << e)
@@ -363,7 +371,7 @@ class CenterIndex:
             return
         d = self.dhat(s)
         thresh = 6.0 * self.params.gamma
-        row = self.ind_bits[s]
+        row = self.centers[s].ind_bits
         for gi, g in enumerate(self.gammas):
             val = 1 if d <= thresh * g else 0
             if row[gi] != val:
@@ -376,7 +384,7 @@ class CenterIndex:
         return out
 
     def indicator_bit(self, s, gamma_index: int) -> int:
-        return self.ind_bits[s][gamma_index]
+        return self.centers[s].ind_bits[gamma_index]
 
     # -- updates -----------------------------------------------------------
 
@@ -384,58 +392,49 @@ class CenterIndex:
         s = tuple(s)
         if s in self.centers:
             raise UsageError(f"duplicate center {s!r}")
-        info = {"tag": tag,
-                "cells": {i: hash_level(self, i, s) for i in self.hashes}}
-        self.centers[s] = info
-        for i, z in info["cells"].items():
+        rec = CenterRecord(tag, {i: hash_level(self, i, s) for i in self.hashes},
+                           {}, bytearray(self.L + 1), bytearray(len(self.gammas)))
+        self.centers[s] = rec
+        for i, z in rec.cells.items():
             self.cells[i].setdefault(z, set()).add(s)
-        self.bits[s] = bytearray(self.L + 1)
-        self.ell[s] = None
-        self.ind_bits[s] = bytearray(len(self.gammas))
-        self.footprints[s] = {}
         for i in self.hashes:
             fp = self._footprint(i, s)
-            self.footprints[s][i] = fp
+            rec.footprints[i] = fp
             for c in fp:
                 self.listen[i].setdefault(c, set()).add(s)
         for i in self.hashes:
             self._set_bit(s, i, self._probe_bit(s, i))
         self._refresh_indicators(s)
         # other centers listening to s's cells now see a neighbor
-        for i in self.hashes:
-            z = info["cells"][i]
+        for i, z in rec.cells.items():
             for t in self.listen[i].get(z, ()):
-                if t != s and not self.bits[t][i]:
+                if t != s and not self.centers[t].bits[i]:
                     self._set_bit(t, i, True)
 
     def delete(self, s):
         s = tuple(s)
         if s not in self.centers:
             raise UsageError(f"unknown center {s!r}")
-        info = self.centers.pop(s)
-        for i, z in info["cells"].items():
+        rec = self.centers.pop(s)
+        for i, z in rec.cells.items():
             members = self.cells[i][z]
             members.discard(s)
             if not members:
                 del self.cells[i][z]
-        for i, fp in self.footprints.pop(s).items():
+        for i, fp in rec.footprints.items():
             for c in fp:
                 lst = self.listen[i].get(c)
                 if lst is not None:
                     lst.discard(s)
                     if not lst:
                         del self.listen[i][c]
-        del self.bits[s]
-        del self.ell[s]
-        del self.ind_bits[s]
-        for i in self.hashes:
-            z = info["cells"][i]
+        for i, z in rec.cells.items():
             for t in tuple(self.listen[i].get(z, ())):
-                if t != s and self.bits[t][i]:
+                if t != s and self.centers[t].bits[i]:
                     self._set_bit(t, i, self._probe_bit(t, i))
 
     def retag(self, s, tag):
-        self.centers[s]["tag"] = tag
+        self.centers[s].tag = tag
 
     # -- queries -----------------------------------------------------------
 
@@ -464,7 +463,7 @@ class CenterIndex:
                 for s in members:
                     if (s == x and not allow_equal) or s in exclude:
                         continue
-                    if tag is not None and self.centers[s]["tag"] != tag:
+                    if tag is not None and self.centers[s].tag != tag:
                         continue
                     if best is None or s < best:
                         best = s

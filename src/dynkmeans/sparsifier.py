@@ -34,12 +34,7 @@ def sensitivity_sample(items, k: int, target: int, np_rng):
         return [(key, tuple(p), float(w)) for key, p, w in items]
     pts = np.asarray([p for _, p, _ in items], dtype=np.float64)
     w = np.asarray([wv for _, _, wv in items], dtype=np.float64)
-
-    class _R:
-        def random(self):
-            return float(np_rng.random())
-
-    seeds = weighted_kmeanspp(pts, w, min(k, n), _R())
+    seeds = weighted_kmeanspp(pts, w, min(k, n), np_rng)
     centers = pts[seeds]
     d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     assign = d2.argmin(axis=1)
@@ -80,8 +75,7 @@ class MergeReduceSparsifier:
         self.k = k
         self.block = max(2 * k,
                          math.ceil(self.c_u * k * math.log2(max(n_hint, 4))))
-        self.buffer = {}           # orig id -> (point, weight)
-        self.buffer_uids = {}      # orig id -> uid
+        self.buffer = {}           # orig id -> (uid, point, weight)
         self.sketches = {}         # level -> _Sketch
         self.owner = {}            # orig id -> level
         self._serial = 0
@@ -113,11 +107,9 @@ class MergeReduceSparsifier:
         if key in self.owner or key in self.buffer:
             raise UsageError(f"duplicate id {key!r}")
         point = tuple(point)
-        deltas = []
-        self.buffer[key] = (point, weight)
         uid = self._next_uid()
-        self.buffer_uids[key] = uid
-        deltas.append(("insert", uid, point, weight))
+        self.buffer[key] = (uid, point, weight)
+        deltas = [("insert", uid, point, weight)]
         if len(self.buffer) >= self.block:
             deltas.extend(self._freeze_buffer())
         deltas.extend(self._tick())
@@ -126,8 +118,8 @@ class MergeReduceSparsifier:
     def delete(self, key):
         deltas = []
         if key in self.buffer:
-            del self.buffer[key]
-            deltas.append(("delete", self.buffer_uids.pop(key), None, None))
+            uid, _, _ = self.buffer.pop(key)
+            deltas.append(("delete", uid, None, None))
         else:
             level = self.owner.pop(key, None)
             if level is None:
@@ -166,14 +158,12 @@ class MergeReduceSparsifier:
         deltas = []
         self._serial += 1
         sketch = _Sketch(self._serial)
-        sketch.source = dict(self.buffer)
-        sketch.base_n = len(sketch.source)
         # buffered points were already published raw; adopt them
-        for key, uid in self.buffer_uids.items():
-            p, w = self.buffer[key]
+        for key, (uid, p, w) in self.buffer.items():
+            sketch.source[key] = (p, w)
             sketch.published[uid] = (p, w, key)
+        sketch.base_n = len(sketch.source)
         self.buffer = {}
-        self.buffer_uids = {}
         level = 0
         while level in self.sketches:
             other = self.sketches.pop(level)
@@ -207,8 +197,7 @@ class SparsifiedRunner:
         self.primary = DynamicKMeans(params, k, seed_tag=("primary", 0))
         self.copies = [DynamicKMeans(params, k, seed_tag=("verify", i))
                        for i in range(verifiers)]
-        self.reset_serial = 0
-        self.resets_cum = 0
+        self.resets_cum = 0        # also numbers the primary's seed tag
 
     def _feed(self, deltas):
         for op, uid, p, w in deltas:
@@ -234,12 +223,11 @@ class SparsifiedRunner:
         return min(self._cost_on_U(c.solution()) for c in self.copies)
 
     def _reset_primary(self):
-        self.reset_serial += 1
+        self.resets_cum += 1
         self.primary = DynamicKMeans(self.params, self.k,
-                                     seed_tag=("primary", self.reset_serial))
+                                     seed_tag=("primary", self.resets_cum))
         for uid, (p, w) in list(self.U.entries.items()):
             self.primary.update("insert", uid, p, w)
-        self.resets_cum += 1
 
     def update(self, op: str, key, point=None, weight=1.0) -> int:
         """Apply one input update; returns the number of primary resets."""

@@ -145,8 +145,10 @@ class ClusterContext:
     run against: the assignment structure and the center index `cent`, whose
     cells answer both the ANN queries and the distance bounds behind the
     importance ordering, kept in step by center_add and center_remove. The
-    epoch controller extends it with its own bookkeeping; from_instance
-    builds a static (X, S) instance."""
+    bundle is the one record of which centers exist; the tag `cent` keeps
+    for each is the epoch controller's robustness level. The controller
+    extends it with its own bookkeeping; from_instance builds a static
+    (X, S) instance."""
 
     def __init__(self, assign: AssignmentStructure, cent: CenterIndex):
         self.assign = assign

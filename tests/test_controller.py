@@ -7,7 +7,7 @@ from dynkmeans.errors import UsageError
 from dynkmeans.geometry import dist
 from dynkmeans.params import Params, schedule_for
 from dynkmeans.rng import make_rng
-from dynkmeans.verify import cert_overrides
+from dynkmeans.verify import cert_controller, cert_overrides
 from dynkmeans.workload import gen_workload
 
 P = Params(epsilon=0.5, d=2, delta=256, seed=51)
@@ -25,7 +25,7 @@ def test_degenerate_phase_solution_is_all_points():
     for i in range(5):
         dk.update("insert", i, (10 * i + 1, 10 * i + 1), 1.0)
     assert dk.solution() == {(10 * i + 1, 10 * i + 1) for i in range(5)}
-    assert dk.solution_cost() == 0.0
+    assert dk.X.cost(dk.solution()) == 0.0
     dk.update("delete", 0)
     assert len(dk.solution()) == 4
 
@@ -37,7 +37,7 @@ def test_activation_at_k_plus_one_distinct():
         dk.update("insert", i, p, 1.0)
     assert dk.active
     assert len(dk.solution()) <= 3
-    assert dk.struct_centers == set(dk.solution())
+    assert set(dk.cent.centers) == set(dk.solution())
 
 
 def test_unknown_ops_and_ids():
@@ -123,7 +123,7 @@ def test_estimate_ell_zero_when_removal_expensive():
             idx += 1
     dk.update("insert", idx, (25, 25), 1.0)  # distinct > k activates epochs
     assert dk.active
-    dk.S_init = frozenset(dk.struct_centers)
+    dk.S_init = frozenset(dk.cent.centers)
     ell_hat, ell = dk._estimate_ell()
     assert ell_hat == 0 and ell == 0
 
@@ -142,7 +142,7 @@ def test_estimate_ell_large_when_removal_free():
         dk.update("insert", idx, p, 0.0)
         idx += 1
     assert dk.active
-    dk.S_init = frozenset(dk.struct_centers)
+    dk.S_init = frozenset(dk.cent.centers)
     ell_hat, ell = dk._estimate_ell()
     assert ell_hat >= (len(dk.S_init) - 1) // 4
 
@@ -185,10 +185,10 @@ def test_insert_delete_same_point_keeps_cost_bounded():
             dk.update("insert", idx,
                       (c[0] + rng.randint(-1, 1), c[1] + rng.randint(-1, 1)), 1.0)
             idx += 1
-    cost_before = dk.solution_cost()
+    cost_before = dk.X.cost(dk.solution())
     dk.update("insert", 7777, (130, 130), 1.0)
     dk.update("delete", 7777)
-    cost_after = dk.solution_cost()
+    cost_after = dk.X.cost(dk.solution())
     assert cost_after <= 25 * max(cost_before, 1.0)
 
 
@@ -267,10 +267,10 @@ def test_makerobust_t0_identity():
     dk = DynamicKMeans(P, 3, witness=True)
     for i, ptn in enumerate([(10, 10), (100, 100), (200, 200), (50, 50)]):
         dk.update("insert", i, ptn, 1.0)
-    u = next(iter(dk.struct_centers))
+    u = next(iter(dk.cent.centers))
     v = dk._make_robust(u, "fresh")
     assert v == u
-    assert dk.t_of[u] == 0
+    assert dk.cent.centers[u].tag == 0
 
 
 def test_contamination_triggers_makerobust():
@@ -318,8 +318,8 @@ def test_contamination_uniqueness_brute_scan():
             continue
         lam = dk.sched.lam
         by_level = {}
-        for s in dk.struct_centers:
-            t = dk.t_of.get(s, 0)
+        for s in dk.cent.centers:
+            t = dk.level(s, 0)
             by_level.setdefault(t, []).append(s)
             levels_seen.add(t)
         x = (rng.randint(1, delta), rng.randint(1, delta))
@@ -360,7 +360,7 @@ def test_cert_revalidation_after_quiet_updates():
         if idx % 10 == 0:
             bad = dk.revalidate_certificates()
             assert not bad, bad[:3]
-    assert any(t >= 1 for t in dk.t_of.values())
+    assert any(dk.level(s, 0) >= 1 for s in dk.cent.centers)
 
 
 def test_deactivation_on_shrink():
@@ -372,4 +372,52 @@ def test_deactivation_on_shrink():
         dk.update("delete", i)
     assert not dk.active
     assert dk.solution() == {(220, 220)}
-    assert not dk.struct_centers
+    assert not dk.cent.centers
+
+
+def test_bundle_is_the_one_record_of_centers_and_levels():
+    # the stream of `verify --suite controller`, under the certificate
+    # schedule. A center's level must be the t of the last make_robust call
+    # that produced it since it was last added (None before any), both
+    # structures of the bundle must hold the same centers, and no indicator
+    # flip may outlive an epoch boundary.
+    p = Params(epsilon=0.5, d=2, delta=1024, seed=0)
+    dk = cert_controller(p)
+    expected = {}
+    dk.on_makerobust = lambda ctrl, rec: expected.__setitem__(rec.v, rec.t)
+    remove = dk.center_remove
+
+    def center_remove(s):
+        expected.pop(tuple(s), None)
+        remove(s)
+
+    dk.center_remove = center_remove
+    boundaries = 0
+    stream = gen_workload("clustered", 300, 2, 1024, 5, ins_frac=0.72, seed=0)
+    for op, key, point, w in stream.ops():
+        rep = dk.update(op, key, point, w)
+        assert set(dk.assign.centers) == set(dk.cent.centers)
+        for s in dk.cent.centers:
+            assert dk.level(s, None) == expected.get(s)
+        if rep.epoch_boundary:
+            boundaries += 1
+            assert not dk.cent.events and not dk.yellow
+    assert boundaries >= 100
+    assert max(expected.values()) >= 1   # levels above zero were exercised
+
+
+def test_deactivation_leaves_no_pending_events():
+    # removing every center flips indicators; those flips must not survive
+    # into the next activation
+    dk = DynamicKMeans(P, 3)
+    pts = [(10, 10), (12, 10), (150, 150), (220, 220)]
+    for i, p in enumerate(pts):
+        dk.update("insert", i, p, 1.0)
+    assert dk.active and dk.cent.gammas
+    dk.update("delete", 0)
+    assert not dk.active and not dk.cent.centers
+    assert not dk.cent.events and not dk.yellow
+    dk.update("insert", 4, (10, 10), 1.0)
+    assert dk.active
+    assert set(dk.assign.centers) == set(dk.cent.centers) == set(dk.solution())
+    assert not dk.cent.events and not dk.yellow

@@ -66,9 +66,8 @@ def _centers(level=None):
 
 def _centers_state(ci):
     return ([ci.ann_query(x) for x in PROBES],
-            sorted((s, ci.dhat(s), bytes(ci.bits[s]),
-                    sorted(info["cells"].items()))
-                   for s, info in ci.centers.items()))
+            sorted((s, ci.dhat(s), bytes(rec.bits), sorted(rec.cells.items()))
+                   for s, rec in ci.centers.items()))
 
 
 def _assign(level=None):

@@ -163,7 +163,8 @@ def test_restricted_t2_ann_contract():
 
 def test_restricted_leaves_center_index_unchanged(monkeypatch):
     # 9 centers and r = 1: the sketch masks the 6 cheapest in the one center
-    # index, read-only
+    # index, read-only; each record compares by tag, cells, footprints, bits,
+    # ell and indicator bits
     rng = make_rng(20, "r")
     pw, S = _instance(rng, 30, 9)
     ctx = ClusterContext.from_instance(P, pw, S, seed_tag="t12")
@@ -189,11 +190,11 @@ def test_ann_answers_at_the_dhat_level():
         pw, S = _instance(rng, 20, rng.randint(2, 30))
         ctx = ClusterContext.from_instance(P, pw, S, seed_tag=("t13", t))
         idx = ctx.cent
-        for s in idx.centers:
-            e = idx.ell[s]
+        for s, rec in idx.centers.items():
+            e = rec.ell
             assert e is not None and idx.dhat(s) == 3.0 * P.gamma * (1 << e)
             near = set().union(*(idx.cells[e].get(c, ())
-                                 for c in idx.footprints[s][e]))
+                                 for c in rec.footprints[e]))
             assert idx.ann_query(s) in near - {s}
             checked += 1
     assert checked >= 300
