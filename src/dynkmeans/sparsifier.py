@@ -1,11 +1,15 @@
 """From n to k: a merge-and-reduce sparsifier feeding one primary controller
 plus verification copies, with cost-based expiry of the primary solution.
 
-The sparsifier keeps an insertion log in doubling blocks; each block is
-reduced once by sensitivity sampling and re-reduced when deletions dirty it
-(checked every k updates). The union of block samples is the weighted
-subspace U consumed by the controllers. Deleted points leave U immediately
-so U stays a subspace of the live input.
+The sparsifier keeps an insertion log in doubling blocks, placed like a
+binary counter: a full buffer is published raw at level 0 when that level is
+free. Otherwise a merge cascade merges the raw sources of the buffer and of
+every occupied level below the first free level and reduces them once, by
+sensitivity sampling, at that level. A block is re-reduced when deletions
+dirty it (checked every k updates). The union of block samples is the
+weighted subspace U consumed by the controllers. Deleted points leave U
+immediately so U stays a subspace of the live input, and every batch of U
+deltas is net: no uid is both inserted and deleted in one batch.
 """
 
 from __future__ import annotations
@@ -52,6 +56,15 @@ def sensitivity_sample(items, k: int, target: int, np_rng):
         add_w = float(w[i] / (target * probs[i]))
         out[i] = out.get(i, 0.0) + add_w
     return [(items[i][0], tuple(items[i][1]), wv) for i, wv in out.items()]
+
+
+def _net(deltas):
+    """Drop every uid that one batch both inserts and deletes: U never
+    holds it, so no controller needs to see it."""
+    inserted = {uid for op, uid, _, _ in deltas if op == "insert"}
+    gone = {uid for op, uid, _, _ in deltas
+            if op == "delete" and uid in inserted}
+    return [d for d in deltas if d[1] not in gone]
 
 
 class _Sketch:
@@ -113,7 +126,7 @@ class MergeReduceSparsifier:
         if len(self.buffer) >= self.block:
             deltas.extend(self._freeze_buffer())
         deltas.extend(self._tick())
-        return deltas
+        return _net(deltas)
 
     def delete(self, key):
         deltas = []
@@ -133,7 +146,7 @@ class MergeReduceSparsifier:
                 del sketch.published[uid]
                 deltas.append(("delete", uid, None, None))
         deltas.extend(self._tick())
-        return deltas
+        return _net(deltas)
 
     def _tick(self):
         self.updates += 1
@@ -155,27 +168,30 @@ class MergeReduceSparsifier:
         return deltas
 
     def _freeze_buffer(self):
-        deltas = []
+        """Turn the full buffer into a sketch placed like a binary counter:
+        stored raw at level 0 when that is free, else merged with every
+        occupied level below the first free level and reduced once there.
+        `_reduce` samples from the raw sources, so the merged levels' own
+        samples feed nothing and are only unpublished."""
         self._serial += 1
         sketch = _Sketch(self._serial)
+        merged = []
+        while len(merged) in self.sketches:
+            merged.append(self.sketches.pop(len(merged)))
+        level = len(merged)
+        for other in reversed(merged):   # higher levels first, the buffer last
+            sketch.source.update(other.source)
         # buffered points were already published raw; adopt them
         for key, (uid, p, w) in self.buffer.items():
             sketch.source[key] = (p, w)
             sketch.published[uid] = (p, w, key)
         sketch.base_n = len(sketch.source)
         self.buffer = {}
-        level = 0
-        while level in self.sketches:
-            other = self.sketches.pop(level)
-            merged = _Sketch(self._serial)
-            merged.source = {**other.source, **sketch.source}
-            deltas.extend(("delete", uid, None, None)
-                          for uid in other.published)
-            deltas.extend(("delete", uid, None, None)
-                          for uid in sketch.published)
-            sketch = merged
-            level += 1
-            deltas.extend(self._reduce(sketch))
+        deltas = []
+        if merged:
+            for other in merged:
+                sketch.published.update(other.published)
+            deltas = self._reduce(sketch)
         for key in sketch.source:
             self.owner[key] = level
         self.sketches[level] = sketch

@@ -89,16 +89,18 @@ def test_lazy_deletion_recourse_zero():
     k = 16
     dk = DynamicKMeans(P, k)
     stream = gen_workload("uniform", 500, 2, 256, k, ins_frac=1.0, seed=4)
-    drive(dk, stream)
-    # find a deletion mid-epoch: force a long epoch then delete
-    target = None
-    for key in list(dk.X.ids()):
-        if dk.X.get(key)[0] not in dk.solution():
-            target = key
+    # drive until an epoch is live with room left for one more update
+    for op, key, point, w in stream.ops():
+        dk.update(op, key, point, w)
+        if dk.epoch_live and dk.epoch_updates < dk.ell:
             break
-    if dk.epoch_live and dk.epoch_updates < dk.ell:
-        rep = dk.update("delete", target)
-        assert rep.recourse == 0
+    else:
+        pytest.fail("the stream never reached a mid-epoch state")
+    centers = dk.solution() | set(dk.cent.centers)
+    target = next(key for key in dk.X.ids() if dk.X.get(key)[0] not in centers)
+    rep = dk.update("delete", target)
+    assert not rep.epoch_boundary
+    assert rep.recourse == 0
 
 
 def test_zero_length_epoch_runs_pipeline_every_update():
@@ -282,14 +284,16 @@ def test_contamination_triggers_makerobust():
             dk.update("insert", idx, c, 1.0)
             idx += 1
     center = min(dk.solution(), key=lambda s: dist(s, (100, 100)))
+    radius = dk.sched.contamination_radius(dk.level(center, 0))
     calls = []
     dk.on_makerobust = lambda ctrl, rec: calls.append(rec)
     # touch inside the contamination ball of that center
     near = (center[0] + 1, center[1])
     dk.update("insert", idx, near, 1.0)
     dk.update("delete", idx)
-    assert any(rec.u == rec.u for rec in calls)
-    assert any(dist(rec.u, center) <= 64 for rec in calls) or not dk.active
+    assert dk.active
+    assert any(rec.call_type == "contaminated" and dist(rec.u, near) <= radius
+               for rec in calls)
 
 
 def wide_params():

@@ -29,12 +29,14 @@ def test_sensitivity_sample_weight_preserved_roughly():
     assert 0.3 * 400 <= total <= 3.0 * 400
 
 
-def test_sparsifier_u_is_subset_of_live():
-    sp = MergeReduceSparsifier(P, k=4, n_hint=200)
+def _replay_mixed_stream(sp, n):
+    """Feed n updates (35% deletes) to sp. After every update the batch is
+    net, and U, the sum of all batches so far, holds only live points and
+    stays within criterion 16's bound. Returns the number of cascades."""
     rng = make_rng(2, "sp")
     live = {}
     published = {}
-    n = 300
+    cascades = 0
     for i in range(n):
         if live and rng.random() < 0.35:
             key = rng.choice(sorted(live))
@@ -44,6 +46,11 @@ def test_sparsifier_u_is_subset_of_live():
             pt = (rng.randint(1, 256), rng.randint(1, 256))
             deltas = sp.insert(i, pt, 1.0)
             live[i] = pt
+            # the insert froze the buffer and merged level 0 away
+            cascades += not sp.buffer and 0 not in sp.sketches
+        inserted = {uid for op, uid, _, _ in deltas if op == "insert"}
+        assert not any(op == "delete" and uid in inserted
+                       for op, uid, _, _ in deltas)
         for op, uid, p, w in deltas:
             if op == "insert":
                 published[uid] = p
@@ -52,6 +59,54 @@ def test_sparsifier_u_is_subset_of_live():
         live_pts = set(live.values())
         assert set(published.values()) <= live_pts
         assert len(published) <= u_size_bound(sp, n)
+    return cascades
+
+
+def test_sparsifier_u_is_subset_of_live():
+    _replay_mixed_stream(MergeReduceSparsifier(P, k=4, n_hint=200), 300)
+
+
+def test_sparsifier_batches_are_net():
+    # a smaller block fills several times, so this stream also cascades
+    sp = MergeReduceSparsifier(P, k=4, n_hint=16)
+    assert _replay_mixed_stream(sp, 300) >= 2
+
+
+def _published(sp):
+    uids = {uid for uid, _, _ in sp.buffer.values()}
+    for sketch in sp.sketches.values():
+        uids.update(sketch.published)
+    return uids
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_cascade_reduces_once(depth):
+    # 2^depth full buffers, insert only: the last one freezes into a cascade
+    # through levels 0..depth-1 and lands at level `depth`
+    sp = MergeReduceSparsifier(P, k=3, n_hint=16)
+    rng = make_rng(3, "cascade")
+    n = (1 << depth) * sp.block
+    for i in range(n - 1):
+        sp.insert(i, (rng.randint(1, 256), rng.randint(1, 256)), 1.0)
+        if not sp.buffer:
+            # binary-counter placement: occupied levels are freezes' bits
+            freezes = (i + 1) // sp.block
+            assert sorted(sp.sketches) == [
+                b for b in range(freezes.bit_length()) if freezes >> b & 1]
+    assert sorted(sp.sketches) == list(range(depth))
+    before = _published(sp)
+    batch = sp.insert(n - 1, (rng.randint(1, 256), rng.randint(1, 256)), 1.0)
+    deleted = [uid for op, uid, _, _ in batch if op == "delete"]
+    inserted = [uid for op, uid, _, _ in batch if op == "insert"]
+    assert sorted(deleted) == sorted(before)   # each exactly once
+    assert len(inserted) <= sp.block
+    assert not set(inserted) & before
+    assert _published(sp) == set(inserted)
+    assert sorted(sp.sketches) == [depth]
+    assert sp.buffer == {}
+    assert set(sp.owner) == set(range(n))
+    assert set(sp.owner.values()) == {depth}
+    assert set(sp.sketches[depth].source) == set(range(n))
 
 
 def test_sparsifier_duplicate_and_unknown_ids():
