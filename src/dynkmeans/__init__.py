@@ -14,7 +14,7 @@ from .geometry import (WeightedSet, brute_nn, brute_opt_augmented,
 from .harness import RunResult, run_stream
 from .hashing import OVER_CAP, ConsistentHash, WeakHash
 from .params import ExponentSchedule, Params, schedule_for
-from .range_query import BallOneMeans, CenterIndex, MomentSummary, RangeIndex
+from .range_query import BallOneMeans, CenterIndex, MomentSummary
 from .sparsifier import MergeReduceSparsifier, SparsifiedRunner
 from .subroutines import (ClusterContext, augmented_kmeans, restricted_kmeans,
                           static_weighted_kmeans)

@@ -28,9 +28,8 @@ class AssignmentStructure:
         while g3 ** m < 2.0 * params.gamma * params.aspect:
             m += 1
         self.m = m
-        self.rho = {i: 0.5 * g3 ** i for i in range(m + 1)}
         self.hashes = {
-            i: ConsistentHash(params, rho=self.rho[i], seed_tag=(seed_tag, i))
+            i: ConsistentHash(params, rho=0.5 * g3 ** i, seed_tag=(seed_tag, i))
             for i in range(1, m + 1)
         }
         self.scale2 = {i: g3 ** (2 * i) for i in range(m + 1)}

@@ -72,13 +72,11 @@ class DynamicKMeans(ClusterContext):
         self.active = False            # epochs running
         self.epoch_live = False        # inside an epoch
         self.ell = 0
-        self.ell_hat = 0
         self.epoch_updates = 0
         self.S_init: frozenset = frozenset()
         self.start_counts: dict = {}   # touched coord -> count at epoch start
         self.plus_order: list = []     # touched coords in first-touch order
 
-        self.recourse_cum = 0
         self.makerobust_cum = 0
         self.time_points_ns = 0        # dataset-side structure maintenance
         self.time_epoch_ns = 0         # epoch start/end pipelines
@@ -181,7 +179,6 @@ class DynamicKMeans(ClusterContext):
         report.epoch_len = self.ell + 1
         report.makerobust_calls = self.makerobust_cum - mr_before
         report.recourse = len(s_before.symmetric_difference(self.S_out))
-        self.recourse_cum += report.recourse
         return report
 
     def _touch(self, point):
@@ -218,7 +215,7 @@ class DynamicKMeans(ClusterContext):
 
     def _start_epoch(self):
         self.S_init = frozenset(self.cent.centers)
-        self.ell_hat, self.ell = self._estimate_ell()
+        _, self.ell = self._estimate_ell()
         if self.ell >= 1:
             removed = restricted_kmeans(self, self.ell, self.rng)
             self.S_out -= removed

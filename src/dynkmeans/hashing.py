@@ -50,11 +50,6 @@ class WeakHash:
 
     def cell_dist2(self, x, z) -> float:
         """Squared distance from x to the grid points of cell z (inf if empty)."""
-        v = self._dist2_capped(x, z, math.inf)
-        return math.inf if v is None else v
-
-    def _dist2_capped(self, x, z, r2):
-        """cell_dist2 with early exit; None when empty or above r2."""
         cell = self.cell
         shift = self.shift
         delta = self.delta
@@ -69,7 +64,7 @@ class WeakHash:
             if hi > delta:
                 hi = delta
             if lo > hi:
-                return None
+                return math.inf
             xi = x[j]
             if xi < lo:
                 t = lo - xi
@@ -78,8 +73,6 @@ class WeakHash:
             else:
                 continue
             s += t * t
-            if s > r2:
-                return None
         return s
 
     def _axis_table(self, x, r: float):
@@ -119,20 +112,22 @@ class WeakHash:
         """Cells whose grid preimage meets ball(x, r), by DFS over +-1
         neighbors; OVER_CAP once more than `cap` cells are collected.
 
+        The DFS starts at x's own cell, so it returns no cell when that cell
+        holds no grid point within r (an off-grid x may have none at all).
         Neighbors are explored per coordinate ascending, -1 before +1.
         """
         if cap < 1:
             return OVER_CAP
         r2 = r * r
         start = self.eval(x)
-        if self._dist2_capped(x, start, r2) is None:
-            return set()
         tables = self._axis_table(x, r)
         d = len(x)
+        start_axes = [tables[j][start[j]] for j in range(d)]
+        start_s = sum(start_axes)
+        if start_s > r2:
+            return set()
         found = {start}
-        seen = {start}
-        start_axes = [tables[j].get(start[j], math.inf) for j in range(d)]
-        stack = [(start, sum(start_axes), start_axes)]
+        stack = [(start, start_s, start_axes)]
         inf = math.inf
         while stack:
             z, s, axes = stack.pop()
@@ -146,9 +141,8 @@ class WeakHash:
                     if ns > r2:
                         continue
                     nz = z[:j] + (zj + step,) + z[j + 1:]
-                    if nz in seen:
+                    if nz in found:
                         continue
-                    seen.add(nz)
                     found.add(nz)
                     if len(found) > cap:
                         return OVER_CAP
@@ -191,17 +185,13 @@ class ConsistentHash:
         """Fresh hash family after a NoColor event; owner must rebuild."""
         self._sample(self.attempt + 1)
 
-    @property
-    def per_color_cap(self) -> int:
-        return self.params.per_color_cap
-
     def eval(self, x) -> tuple:
         """Hash value (color, cell_id); NoColorError if every color overflows."""
         hit = self._eval_cache.get(x)
         if hit is not None:
             return hit
         r = 2.0 * self.rho / self.params.gamma
-        cap = self.per_color_cap
+        cap = self.params.per_color_cap
         for c, wh in enumerate(self.weak):
             cells = wh.ball_cells(x, r, cap)
             if cells is not OVER_CAP:
@@ -230,7 +220,7 @@ class ConsistentHash:
         hit = self._bucket_cache.get(key)
         if hit is not None:
             return hit
-        cap = self.per_color_cap
+        cap = self.params.per_color_cap
         out = set()
         weak = self.weak if upto is None else self.weak[:upto + 1]
         for c, wh in enumerate(weak):

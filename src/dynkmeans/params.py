@@ -154,31 +154,27 @@ def schedule_for(params: Params) -> ExponentSchedule:
     n_gammas = max(1, math.ceil(math.log(aspect) / math.log(lam)))
     gammas = tuple(lam ** i for i in range(n_gammas + 1))
     if params.preset == PRESET_PAPER:
-        return ExponentSchedule(
-            lam=lam,
-            theta=theta,
-            ell_stop_factor=theta ** 8 * lam ** 44,
-            ell_shrink=36.0 * lam ** 51,
-            augment_per_update=lam ** 52,
-            makerobust_div=lam ** 7,
-            robust_div=lam ** 10,
-            contamination_offset=1.5,
-            d2_samples=max(1, math.ceil(params.epsilon ** -6 * params.d
-                                        * math.log2(params.delta))),
-            t_cap=t_cap,
-            indicator_gammas=gammas,
-        )
+        ell_stop_factor = theta ** 8 * lam ** 44
+        ell_shrink = 36.0 * lam ** 51
+        augment_per_update = lam ** 52
+        d2_samples = max(1, math.ceil(params.epsilon ** -6 * params.d
+                                      * math.log2(params.delta)))
+    else:
+        ell_stop_factor = 10.0
+        ell_shrink = 4.0
+        augment_per_update = 1.0
+        d2_samples = max(1, min(32, math.ceil(
+            0.001 * params.epsilon ** -6 * params.d * math.log2(params.delta))))
     return ExponentSchedule(
         lam=lam,
         theta=theta,
-        ell_stop_factor=10.0,
-        ell_shrink=4.0,
-        augment_per_update=1.0,
+        ell_stop_factor=ell_stop_factor,
+        ell_shrink=ell_shrink,
+        augment_per_update=augment_per_update,
         makerobust_div=lam ** 7,
         robust_div=lam ** 10,
         contamination_offset=1.5,
-        d2_samples=max(1, min(32, math.ceil(0.001 * params.epsilon ** -6
-                                            * params.d * math.log2(params.delta)))),
+        d2_samples=d2_samples,
         t_cap=t_cap,
         indicator_gammas=gammas,
     )

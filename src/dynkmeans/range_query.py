@@ -1,15 +1,16 @@
-"""Range-query reduction over consistent hashing, and its instantiations.
+"""Range-query reduction over consistent hashing, and its two instantiations.
 
 One hashed level per dyadic radius bracket: a query with radius r in
 [2^(i-1), 2^i) runs the capped bucket enumeration at radius r on the level
 whose hash has rho = gamma * 2^i. The returned buckets are disjoint, cover
-ball(x, r), and stay inside ball(x, 3*gamma*r). Queries with r < 1 use an
-exact coordinate level (grid points at distance < 1 coincide).
+ball(x, r), and stay inside ball(x, 3*gamma*r). Queries with r < 1 read
+level 0, the exact coordinate level (grid points at distance < 1 coincide).
 
-Instantiations: per-bucket moment summaries give exact 1-means estimates
-over approximate balls; a center-side index gives the ANN oracle, the
-per-scale neighbor bits, the maintained distance upper bounds, and the
-threshold indicators with flip reporting.
+BallOneMeans keeps exact moment summaries per bucket and answers 1-means
+estimates over approximate balls. CenterIndex keeps the centers under its own
+dyadic levels and answers the ANN oracle, the per-scale neighbor bits, the
+maintained distance upper bounds, and the threshold indicators with flip
+reporting.
 """
 
 from __future__ import annotations
@@ -98,12 +99,24 @@ class MomentSummary:
         return tuple(out)
 
 
-class RangeIndex:
-    """Points routed to one bucket per level, each bucket carrying exact
-    weighted moments (MomentSummary); disjoint buckets make merges exact.
+@dataclass
+class BallAnswer:
+    b: float                 # weight of the realized approximate ball
+    c_star: tuple            # 1-means center candidate
+    cost_c_star: float
+    cost_x: float
+    witness: Optional[frozenset] = None   # ids of the realized ball (test mode)
 
-    The hash family is sampled at construction (so results do not depend on
-    query order), but a level's buckets materialize on first query.
+
+class BallOneMeans:
+    """1-means estimation over approximate balls, via exact bucket moments.
+
+    Every point is routed to one bucket per level, each bucket carrying the
+    exact weighted moments of its members; disjoint buckets make merges
+    exact. Level 0 is the exact coordinate level, one bucket per distinct
+    point; levels 1..max_level are hashed. The hash family is sampled at
+    construction (so results do not depend on query order), but a hashed
+    level's buckets materialize on first query.
     """
 
     def __init__(self, params: Params, seed_tag):
@@ -114,8 +127,7 @@ class RangeIndex:
                               seed_tag=(seed_tag, "lvl", i))
             for i in range(1, self.max_level + 1)
         }
-        self.buckets = {}               # level -> cell -> (ids, summary)
-        self.exact = {}                 # point -> (ids dict, summary)
+        self.buckets = {0: {}}          # level -> cell -> (ids, summary)
         self.registry = {}              # id -> (point, weight, cells per level)
         self.global_summary = MomentSummary(params.d)
         self.nocolor_events = 0
@@ -162,16 +174,11 @@ class RangeIndex:
     def insert(self, key, p, w: float):
         if key in self.registry:
             raise UsageError(f"duplicate id {key!r}")
-        cells = {i: hash_level(self, i, p) for i in self.buckets}
+        # level 0 is keyed by the point itself
+        cells = {i: hash_level(self, i, p) if i else p for i in self.buckets}
         self.registry[key] = (p, w, cells)
         for i, z in cells.items():
             self._bucket_add(i, z, key, p, w)
-        b = self.exact.get(p)
-        if b is None:
-            b = ({}, MomentSummary(self.params.d))
-            self.exact[p] = b
-        b[0][key] = w
-        b[1].add(p, w)
         self.global_summary.add(p, w)
 
     def delete(self, key):
@@ -180,81 +187,37 @@ class RangeIndex:
         p, w, cells = self.registry.pop(key)
         for i, z in cells.items():
             self._bucket_remove(i, z, key, p, w)
-        ids, summ = self.exact[p]
-        del ids[key]
-        summ.remove(p, w)
-        if not ids:
-            del self.exact[p]
         self.global_summary.remove(p, w)
 
-    def query(self, x, r: float, with_ids: bool = False):
-        """Summaries of the nonempty buckets covering ball(x, r).
+    def query(self, x, r: float, witness: bool = False) -> BallAnswer:
+        """Merged moments of the nonempty buckets covering ball(x, r).
 
-        Returns (summaries, ids_or_None). ids collects the union of bucket
-        members (witness mode).
+        witness collects the union of bucket members (test mode).
         """
         if r < 0:
             raise UsageError("negative radius")
-        ids = [] if with_ids else None
-        if r < 1.0:
-            b = self.exact.get(tuple(x))
-            if b is None:
-                return [], ids
-            if with_ids:
-                ids.extend(b[0].keys())
-            return [b[1]], ids
-        if r >= self.params.aspect:
-            if with_ids:
-                ids.extend(self.registry.keys())
-            return ([self.global_summary] if self.registry else []), ids
-        i = level_for_radius(r, self.max_level)
-        self._materialize(i)
-        h = self.hashes[i]
-        values = h.ball_buckets(x, radius=min(r, float(1 << i)), upto=h.top)
-        out = []
-        for z in values:
-            b = self.buckets[i].get(z)
-            if b is not None:
-                out.append(b[1])
-                if with_ids:
-                    ids.extend(b[0].keys())
-        return out, ids
-
-
-@dataclass
-class BallAnswer:
-    b: float                 # weight of the realized approximate ball
-    c_star: tuple            # 1-means center candidate
-    cost_c_star: float
-    cost_x: float
-    witness: Optional[frozenset] = None   # ids of the realized ball (test mode)
-
-
-class BallOneMeans:
-    """1-means estimation over approximate balls, via exact bucket moments."""
-
-    def __init__(self, params: Params, seed_tag):
-        self.params = params
-        self.index = RangeIndex(params, seed_tag)
-
-    def __len__(self):
-        return len(self.index)
-
-    @property
-    def nocolor_events(self):
-        return self.index.nocolor_events
-
-    def insert(self, key, p, w):
-        self.index.insert(key, p, w)
-
-    def delete(self, key):
-        self.index.delete(key)
-
-    def query(self, x, r: float, witness: bool = False) -> BallAnswer:
-        summaries, ids = self.index.query(x, r, with_ids=witness)
         merged = MomentSummary(self.params.d)
-        for s in summaries:
-            merged.merge(s)
+        ids = []
+        if r >= self.params.aspect:
+            merged.merge(self.global_summary)
+            if witness:
+                ids.extend(self.registry)
+        else:
+            if r < 1.0:
+                i, values = 0, (tuple(x),)
+            else:
+                i = level_for_radius(r, self.max_level)
+                self._materialize(i)
+                h = self.hashes[i]
+                values = h.ball_buckets(x, radius=min(r, float(1 << i)),
+                                        upto=h.top)
+            level = self.buckets[i]
+            for z in values:
+                b = level.get(z)
+                if b is not None:
+                    merged.merge(b[1])
+                    if witness:
+                        ids.extend(b[0])
         wit = frozenset(ids) if witness else None
         if merged.n == 0:
             return BallAnswer(0.0, tuple(x), 0.0, 0.0, wit)

@@ -219,7 +219,7 @@ def check_ball_one_means(rng, params, n_points, queries, r_max, seed_tag):
         if not (inner <= wit <= outer):
             sandwich += 1
             continue
-        ws = [(pts[i], bm.index.registry[i][1]) for i in wit]
+        ws = [(pts[i], bm.registry[i][1]) for i in wit]
         total = sum(w for _, w in ws)
         if abs(ans.b - total) > 1e-6 * max(1.0, total):
             bad += 1

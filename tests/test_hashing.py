@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -55,6 +56,34 @@ def test_ball_cells_brute_force_agreement():
                  if wh.cell_dist2(x, (z,)) <= r * r}
         assert got == want2
         assert want <= got
+
+
+def test_ball_cells_off_grid_points():
+    # the DFS starts in x's own cell: when x lies outside [1, delta] and that
+    # cell holds no grid point, no cell is returned even if others are near
+    wh = wh_1d(shift=0.0, cell=2.0, delta=16)
+    assert wh.eval((-5,)) == (-3,)
+    assert wh.cell_dist2((-5,), (-3,)) == math.inf
+    assert wh.cell_dist2((-5,), (0,)) == 36
+    assert wh.ball_cells((-5,), 10.0, 1000) == set()
+    assert wh.ball_cells((0,), 3.0, 1000) == {(0,), (1,)}
+    assert wh_1d(shift=1.5, cell=2.0, delta=16).ball_cells((0,), 3.0, 1000) \
+        == set()
+    rng = make_rng(5, "offgrid")
+    hits = {True: 0, False: 0}
+    for _ in range(60):
+        wh = wh_1d(shift=rng.random() * 2.0, cell=2.0, delta=16)
+        for x in ((-5,), (0,)):
+            r = rng.random() * 12
+            got = wh.ball_cells(x, r, 1000)
+            own_empty = wh.cell_dist2(x, wh.eval(x)) == math.inf
+            hits[own_empty] += 1
+            if own_empty:
+                assert got == set()
+            else:
+                assert got == {(z,) for z in range(-8, 12)
+                               if wh.cell_dist2(x, (z,)) <= r * r}
+    assert hits[True] and hits[False]
 
 
 def test_ball_cells_cap():

@@ -12,7 +12,7 @@ from dynkmeans.assignment import AssignmentStructure
 from dynkmeans.errors import NoColorError
 from dynkmeans.hashing import NOCOLOR_ATTEMPTS, OVER_CAP, ConsistentHash
 from dynkmeans.params import Params
-from dynkmeans.range_query import CenterIndex, RangeIndex
+from dynkmeans.range_query import BallOneMeans, CenterIndex
 from dynkmeans.rng import make_rng
 
 P = Params(epsilon=0.5, d=2, delta=64, seed=31)
@@ -26,7 +26,7 @@ assert NEW not in PTS
 
 
 def _range(level=None):
-    idx = RangeIndex(P, "nc")
+    idx = BallOneMeans(P, "nc")
     if level is not None:
         idx.hashes[level].resample()
     idx.query((1, 1), 2.0)                       # materializes level 2
@@ -36,13 +36,13 @@ def _range(level=None):
 
 
 def _range_state(idx):
-    queries = [sorted(idx.query(x, r, with_ids=True)[1])
+    queries = [sorted(idx.query(x, r, witness=True).witness)
                for x in PROBES for r in (2.0, 3.5)]
     return queries, sorted(idx.registry)
 
 
 def _lazy_range(level=None):
-    idx = RangeIndex(P, "nc")
+    idx = BallOneMeans(P, "nc")
     if level is not None:
         idx.hashes[level].resample()
     for key, p in enumerate(PTS):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dynkmeans.errors import UsageError
 from dynkmeans.geometry import brute_nn, cost, dist
 from dynkmeans.params import Params
-from dynkmeans.range_query import (BallOneMeans, CenterIndex, RangeIndex,
-                                   level_for_radius)
+from dynkmeans.range_query import BallOneMeans, CenterIndex, level_for_radius
 from dynkmeans.rng import make_rng
 
 P = Params(epsilon=0.5, d=2, delta=64, seed=21)
@@ -21,18 +20,18 @@ def test_level_brackets():
 
 
 def test_insert_delete_inverse():
-    idx = RangeIndex(P, "t")
+    idx = BallOneMeans(P, "t")
     idx.query((1, 1), 4.0)  # materialize a level
     idx.insert("a", (3, 3), 1.0)
     idx.delete("a")
     assert len(idx) == 0
-    assert all(not b for b in idx.buckets.values())
-    assert not idx.exact
+    assert set(idx.buckets) == {0, level_for_radius(4.0, idx.max_level)}
+    assert all(not b for b in idx.buckets.values())  # the exact level too
     assert idx.global_summary.n == 0
 
 
 def test_duplicate_and_missing_ids():
-    idx = RangeIndex(P, "t")
+    idx = BallOneMeans(P, "t")
     idx.insert("a", (3, 3), 1.0)
     with pytest.raises(UsageError):
         idx.insert("a", (4, 4), 1.0)
@@ -41,18 +40,19 @@ def test_duplicate_and_missing_ids():
 
 
 def test_partition_counts_per_level():
-    idx = RangeIndex(P, "t")
+    idx = BallOneMeans(P, "t")
     idx.query((1, 1), 2.0)
     idx.query((1, 1), 10.0)
     rng = make_rng(4, "rq")
     for i in range(100):
         idx.insert(i, (rng.randint(1, 64), rng.randint(1, 64)), 1.0)
+    assert len(idx.buckets) == 3    # the exact level and two hashed ones
     for level, buckets in idx.buckets.items():
         assert sum(len(ids) for ids, _ in buckets.values()) == 100
 
 
 def test_far_points_different_buckets():
-    idx = RangeIndex(P, "t")
+    idx = BallOneMeans(P, "t")
     idx.query((1, 1), 2.0)
     level = level_for_radius(2.0, idx.max_level)
     rho = P.gamma * (1 << level)
@@ -63,18 +63,18 @@ def test_far_points_different_buckets():
 
 
 def test_query_r_below_one_exact():
-    idx = RangeIndex(P, "t")
+    idx = BallOneMeans(P, "t")
     idx.insert("a", (5, 5), 2.0)
     idx.insert("b", (5, 6), 1.0)
-    summaries, ids = idx.query((5, 5), 0.5, with_ids=True)
-    assert ids == ["a"]
-    assert summaries[0].w == 2.0
-    assert idx.query((9, 9), 0.0, with_ids=True)[1] == []
+    ans = idx.query((5, 5), 0.5, witness=True)
+    assert ans.witness == {"a"}
+    assert ans.b == 2.0
+    assert idx.query((9, 9), 0.0, witness=True).witness == frozenset()
 
 
 def test_query_sandwich_brute():
     p = Params(epsilon=0.5, d=2, delta=16, seed=22)
-    idx = RangeIndex(p, "t")
+    idx = BallOneMeans(p, "t")
     rng = make_rng(5, "rq")
     pts = {}
     for i in range(120):
@@ -84,8 +84,7 @@ def test_query_sandwich_brute():
     for _ in range(300):
         x = (rng.randint(1, 16), rng.randint(1, 16))
         r = rng.random() * 12
-        _, ids = idx.query(x, r, with_ids=True)
-        got = set(ids)
+        got = idx.query(x, r, witness=True).witness
         inner = {i for i, q in pts.items() if dist(q, x) <= r}
         outer = {i for i, q in pts.items() if dist(q, x) <= 3 * p.gamma * r}
         assert inner <= got <= outer
@@ -282,7 +281,7 @@ def test_ball_one_means_witness_checks():
         inner = {i for i, q in pts.items() if dist(q, x) <= r}
         outer = {i for i, q in pts.items() if dist(q, x) <= 3 * P.gamma * r}
         assert inner <= wit <= outer
-        ws = [(pts[i], bm.index.registry[i][1]) for i in wit]
+        ws = [(pts[i], bm.registry[i][1]) for i in wit]
         total = sum(w for _, w in ws)
         assert math.isclose(ans.b, total, rel_tol=1e-9, abs_tol=1e-9)
         if ws:
@@ -307,8 +306,8 @@ def test_ball_one_means_b_monotone_within_level():
         base = 1 << rng.randint(1, 5)
         r1 = base * (1.0 + 0.3 * rng.random())
         r2 = base * (1.4 + 0.5 * rng.random())
-        lvl = level_for_radius(r1, bm.index.max_level)
-        if lvl == level_for_radius(r2, bm.index.max_level):
+        lvl = level_for_radius(r1, bm.max_level)
+        if lvl == level_for_radius(r2, bm.max_level):
             assert bm.query(x, r1).b <= bm.query(x, r2).b + 1e-9
 
 
