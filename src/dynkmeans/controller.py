@@ -13,6 +13,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .assignment import AssignmentStructure
 from .errors import UsageError
 from .geometry import WeightedSet, dist
@@ -226,7 +228,12 @@ class DynamicKMeans(ClusterContext):
 
     def _estimate_ell(self):
         s_init = self.S_init
-        base = self.X.cost(s_init) if s_init else 0.0
+        # one distance matrix prices every trial S_init - removed as a
+        # column-masked row minimum (bitwise equal to X.cost of the set)
+        cols = list(s_init)
+        d2 = self.X.dist2_matrix(cols)
+        _, w = self.X.arrays()
+        base = float(np.dot(w, d2.min(axis=1))) if cols else 0.0
         stop = self.sched.ell_stop_factor
         limit = min(self.k, len(s_init)) - 1
         prev = 0
@@ -236,7 +243,8 @@ class DynamicKMeans(ClusterContext):
             if s_i > limit:
                 break
             removed = restricted_kmeans(self, s_i, self.rng)
-            cost_i = self.X.cost(s_init - removed)
+            keep = [j for j, c in enumerate(cols) if c not in removed]
+            cost_i = float(np.dot(w, d2[:, keep].min(axis=1)))
             if cost_i > stop * base:
                 break
             prev = s_i
@@ -254,10 +262,14 @@ class DynamicKMeans(ClusterContext):
                   and self.X._by_point.get(p, 0) > 0]
 
         # contaminated survivors of the previous solution, one candidate per
-        # robustness level per touched point
+        # robustness level per touched point; only levels some center holds
+        # can answer, and no center changes inside this loop
+        held = {rec.tag for rec in self.cent.centers.values()}
         contaminated = set()
         for x in touched:
             for i in range(0, sched.t_cap + 1):
+                if i not in held:
+                    continue
                 radius = sched.contamination_radius(i)
                 u = self.cent.ann_query(x, tag=i, max_dist=radius,
                                         allow_equal=True)

@@ -120,6 +120,14 @@ class WeightedSet:
         n = len(self._row2id)
         return self._rows[:n], self._row_w[:n]
 
+    def dist2_matrix(self, centers) -> np.ndarray:
+        """Rows x centers matrix of squared distances, in `arrays()` row
+        order. The min over any subset of its columns, dotted with the row
+        weights, is bitwise equal to `cost` of that subset."""
+        pts, _ = self.arrays()
+        c = np.asarray(centers, dtype=np.float64).reshape(-1, self.d)
+        return ((pts[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+
     def cost(self, centers) -> float:
         """Exact cost(X, S) = sum_x w(x) * dist(x, S)^2."""
         centers = list(centers)
@@ -127,10 +135,8 @@ class WeightedSet:
             raise UsageError("empty center set")
         if not self.entries:
             return 0.0
-        pts, w = self.arrays()
-        c = np.asarray(centers, dtype=np.float64)
-        d2 = ((pts[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-        return float(np.dot(w, d2))
+        _, w = self.arrays()
+        return float(np.dot(w, self.dist2_matrix(centers).min(axis=1)))
 
 
 def cost(points_weights, centers) -> float:

@@ -147,6 +147,15 @@ class ExponentSchedule:
 
 
 def schedule_for(params: Params) -> ExponentSchedule:
+    try:
+        return _schedule(params)
+    except OverflowError:
+        raise UsageError(
+            f"epsilon={params.epsilon} is too small for the {params.preset} "
+            "preset: its exponent schedule overflows a float") from None
+
+
+def _schedule(params: Params) -> ExponentSchedule:
     lam = params.lam
     theta = params.theta
     aspect = params.aspect

@@ -10,7 +10,9 @@ BallOneMeans keeps exact moment summaries per bucket and answers 1-means
 estimates over approximate balls. CenterIndex keeps the centers under its own
 dyadic levels and answers the ANN oracle, the per-scale neighbor bits, the
 maintained distance upper bounds, and the threshold indicators with flip
-reporting.
+reporting. A neighbor bit is a maintained neighbor count > 0: the count of
+other centers in the cells of the center's footprint, adjusted by one at each
+listener when a center is inserted or deleted.
 """
 
 from __future__ import annotations
@@ -237,7 +239,8 @@ class CenterRecord:
     tag: object
     cells: dict                 # level -> cell holding the center
     footprints: dict            # level -> tuple of cells probed for neighbors
-    bits: bytearray             # neighbor bit per level
+    counts: list                # level -> other centers in the footprint
+    bits: bytearray             # neighbor bit per level: count > 0
     ind_bits: bytearray         # indicator bit per gamma
     ell: Optional[int] = None   # min level with bit 1
 
@@ -287,12 +290,24 @@ class CenterIndex:
             rec.footprints[i] = fp
             for c in fp:
                 self.listen[i].setdefault(c, set()).add(s)
-        for s in self.centers:
-            self._set_bit(s, i, self._probe_bit(s, i))
+        for s, rec in self.centers.items():
+            rec.counts[i] = self._count(s, i)
+            self._set_bit(s, i, rec.counts[i] > 0)
 
     # -- scale bits and indicator thresholds ------------------------------
 
+    def _count(self, s, i) -> int:
+        """Centers other than s in the cells of s's level-i footprint."""
+        cells = self.cells[i]
+        n = 0
+        for c in self.centers[s].footprints[i]:
+            members = cells.get(c)
+            if members:
+                n += len(members) - (s in members)
+        return n
+
     def _probe_bit(self, s, i) -> bool:
+        """Audit oracle for the neighbor bit, independent of the counts."""
         for c in self.centers[s].footprints[i]:
             members = self.cells[i].get(c)
             if members and (len(members) > 1 or s not in members):
@@ -356,7 +371,8 @@ class CenterIndex:
         if s in self.centers:
             raise UsageError(f"duplicate center {s!r}")
         rec = CenterRecord(tag, {i: hash_level(self, i, s) for i in self.hashes},
-                           {}, bytearray(self.L + 1), bytearray(len(self.gammas)))
+                           {}, [0] * (self.L + 1), bytearray(self.L + 1),
+                           bytearray(len(self.gammas)))
         self.centers[s] = rec
         for i, z in rec.cells.items():
             self.cells[i].setdefault(z, set()).add(s)
@@ -366,13 +382,18 @@ class CenterIndex:
             for c in fp:
                 self.listen[i].setdefault(c, set()).add(s)
         for i in self.hashes:
-            self._set_bit(s, i, self._probe_bit(s, i))
+            rec.counts[i] = self._count(s, i)
+            self._set_bit(s, i, rec.counts[i] > 0)
         self._refresh_indicators(s)
-        # other centers listening to s's cells now see a neighbor
+        # other centers listening to s's cells now see one more neighbor
+        centers = self.centers
         for i, z in rec.cells.items():
             for t in self.listen[i].get(z, ()):
-                if t != s and not self.centers[t].bits[i]:
-                    self._set_bit(t, i, True)
+                if t != s:
+                    counts = centers[t].counts
+                    counts[i] += 1
+                    if counts[i] == 1:
+                        self._set_bit(t, i, True)
 
     def delete(self, s):
         s = tuple(s)
@@ -391,10 +412,13 @@ class CenterIndex:
                     lst.discard(s)
                     if not lst:
                         del self.listen[i][c]
+        centers = self.centers
         for i, z in rec.cells.items():
-            for t in tuple(self.listen[i].get(z, ())):
-                if t != s and self.centers[t].bits[i]:
-                    self._set_bit(t, i, self._probe_bit(t, i))
+            for t in self.listen[i].get(z, ()):
+                counts = centers[t].counts
+                counts[i] -= 1
+                if not counts[i]:
+                    self._set_bit(t, i, False)
 
     def retag(self, s, tag):
         self.centers[s].tag = tag

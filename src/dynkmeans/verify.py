@@ -152,12 +152,31 @@ def check_ann(rng, params, steps, seed_tag):
     return bad, replays[0] == replays[1], len(replays[0])
 
 
+def audit_neighbor_counts(ci: CenterIndex) -> int:
+    """Count and bit audit of a CenterIndex: every maintained neighbor count
+    must equal a from-scratch count of the other centers whose cell lies in
+    the footprint, and every neighbor bit must equal the index's own probe.
+    Returns the number of (center, level) pairs that disagree."""
+    bad = 0
+    for i in ci.hashes:
+        at = {}
+        for rec in ci.centers.values():
+            at[rec.cells[i]] = at.get(rec.cells[i], 0) + 1
+        for s, rec in ci.centers.items():
+            fp = rec.footprints[i]
+            want = sum(at.get(c, 0) for c in fp) - (rec.cells[i] in fp)
+            if rec.counts[i] != want or bool(rec.bits[i]) != ci._probe_bit(s, i):
+                bad += 1
+    return bad
+
+
 def check_indicators(rng, params, gammas, steps, seed_tag):
     """Criterion 5: random center inserts and deletes on a distance-tracking
     index. After every step, for each center s with true nearest distance d
     (inf when alone): dhat(s) lies in [d, 6*gamma*d]; every reported flip
-    changed its bit and no change went unreported; and indicator i is 1 when
-    d <= gammas[i] and 0 when d > 6*gamma*gammas[i]. Returns (indicator
+    changed its bit and no change went unreported; indicator i is 1 when
+    d <= gammas[i] and 0 when d > 6*gamma*gammas[i]; and the neighbor counts
+    and bits pass `audit_neighbor_counts`. Returns (indicator and count
     violations, dhat violations)."""
     ci = CenterIndex(params, seed_tag, gammas=gammas)
     S = set()
@@ -181,6 +200,7 @@ def check_indicators(rng, params, gammas, steps, seed_tag):
             if bits.get((s_ev, g), 0) == bit:
                 bad += 1  # spurious flip
             bits[(s_ev, g)] = bit
+        bad += audit_neighbor_counts(ci)
         for s in S:
             true_d = min((dist(s, t) for t in S if t != s), default=math.inf)
             if not true_d - 1e-9 <= ci.dhat(s) <= g6 * true_d + 1e-9:

@@ -425,3 +425,14 @@ def test_deactivation_leaves_no_pending_events():
     assert dk.active
     assert set(dk.assign.centers) == set(dk.cent.centers) == set(dk.solution())
     assert not dk.cent.events and not dk.yellow
+
+
+def test_estimate_ell_on_empty_point_set():
+    # every trial costs 0 on an empty X, so the doubling runs to the limit
+    dk = DynamicKMeans(Params(epsilon=0.5, d=2, delta=64, seed=3), k=5)
+    assert dk._estimate_ell() == (0, 0)          # no centers either
+    for s in [(1, 1), (30, 30), (60, 5), (10, 1), (30, 40)]:
+        dk.center_add(s)
+    dk.S_init = frozenset(dk.cent.centers)
+    assert len(dk.X) == 0
+    assert dk._estimate_ell() == (4, 1)

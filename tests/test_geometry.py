@@ -153,6 +153,30 @@ def test_weighted_set_mirror_matches_loop():
     assert math.isclose(X.cost(S), slow, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_masked_matrix_cost_is_bitwise_cost(seed):
+    # the epoch controller prices S - R as a column-masked row minimum of
+    # one distance matrix; it must equal X.cost(S - R) exactly
+    rng = make_rng(seed, "matrix")
+    d = 1 + seed % 3
+    X = WeightedSet(d)
+    for i in range(rng.randint(1, 80)):
+        X.insert(i, tuple(rng.randint(1, 500) for _ in range(d)),
+                 rng.choice([1.0, 0.5, 3.0, rng.random() * 7]))
+        if i and rng.random() < 0.2:
+            X.delete(rng.choice(sorted(X.ids())))
+    S = list({tuple(rng.randint(1, 500) for _ in range(d))
+              for _ in range(rng.randint(2, 25))})
+    M = X.dist2_matrix(S)
+    _, w = X.arrays()
+    assert M.shape == (len(X), len(S))
+    assert X.cost(S) == float(np.dot(w, M.min(axis=1)))
+    for _ in range(20):
+        R = set(rng.sample(S, rng.randint(0, len(S) - 1)))
+        keep = [j for j, c in enumerate(S) if c not in R]
+        assert X.cost(set(S) - R) == float(np.dot(w, M[:, keep].min(axis=1)))
+
+
 def test_jl_zero_vector_clamps_to_ones():
     A = make_jl_matrix(6, 3, make_np_rng(0, "jl"))
     assert jl_project([0.0] * 6, A, 16) == (1, 1, 1)

@@ -116,6 +116,19 @@ def test_malformed_stream_is_usage_error(name, tmp_path, capsys):
     assert err.startswith("usage error: ") and "Traceback" not in err
 
 
+def test_overflowing_schedule_is_usage_error(tmp_path, capsys):
+    # paper_faithful at epsilon=0.1 needs lam**44 with lam ~ 8.5e7
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("epsilon=0.1\n")
+    path = tmp_path / "s.txt"
+    path.write_text(gen_workload("clustered", 20, 2, 64, 2, seed=1).serialize())
+    assert cli.main(["--config", str(cfg), "--preset", "paper_faithful",
+                     "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert "epsilon=0.1" in err and "paper_faithful" in err
+
+
 def test_run_stream_insertions_only_ratio_one():
     stream = gen_workload("uniform", 4, 2, 64, 4, ins_frac=1.0, seed=5)
     res = run_stream(stream, P, 4, baseline_every=2, time_source=fake_clock())

@@ -14,6 +14,7 @@ from dynkmeans.hashing import NOCOLOR_ATTEMPTS, OVER_CAP, ConsistentHash
 from dynkmeans.params import Params
 from dynkmeans.range_query import BallOneMeans, CenterIndex
 from dynkmeans.rng import make_rng
+from dynkmeans.verify import audit_neighbor_counts
 
 P = Params(epsilon=0.5, d=2, delta=64, seed=31)
 _rng = make_rng(31, "nocolor")
@@ -65,8 +66,10 @@ def _centers(level=None):
 
 
 def _centers_state(ci):
+    assert audit_neighbor_counts(ci) == 0
     return ([ci.ann_query(x) for x in PROBES],
-            sorted((s, ci.dhat(s), bytes(rec.bits), sorted(rec.cells.items()))
+            sorted((s, ci.dhat(s), bytes(rec.bits), list(rec.counts),
+                    sorted(rec.cells.items()))
                    for s, rec in ci.centers.items()))
 
 

@@ -63,6 +63,12 @@ def test_schedule_paper_faithful_exponents():
     assert s.d2_samples >= p.epsilon ** -6 * p.d
 
 
+def test_schedule_overflow_is_usage_error():
+    p = Params(epsilon=0.1, d=2, delta=256, preset="paper_faithful")
+    with pytest.raises(UsageError, match="epsilon=0.1.*paper_faithful"):
+        schedule_for(p)
+
+
 def test_aspect_and_levels():
     p = Params(epsilon=0.5, d=4, delta=128)
     assert math.isclose(p.aspect, 2 * 128)

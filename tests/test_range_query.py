@@ -8,6 +8,7 @@ from dynkmeans.geometry import brute_nn, cost, dist
 from dynkmeans.params import Params
 from dynkmeans.range_query import BallOneMeans, CenterIndex, level_for_radius
 from dynkmeans.rng import make_rng
+from dynkmeans.verify import audit_neighbor_counts
 
 P = Params(epsilon=0.5, d=2, delta=64, seed=21)
 
@@ -202,6 +203,28 @@ def test_indicator_flips_exact_vs_recompute():
                         assert b == 1
                     if true_d > 6 * P.gamma * g:
                         assert b == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_neighbor_counts_match_scratch_on_random_streams(seed):
+    # 4 seeds x 600 operations; after each one every maintained count equals
+    # a from-scratch count and every bit equals _probe_bit
+    ci = CenterIndex(P, ("counts", seed), gammas=(1.0, 4.0, 16.0))
+    rng = make_rng(seed, "counts")
+    S = set()
+    for step in range(600):
+        if not S or rng.random() < 0.55:
+            s = (rng.randint(1, 64), rng.randint(1, 64))
+            if s in S:
+                continue
+            S.add(s)
+            ci.insert(s)
+        else:
+            s = rng.choice(sorted(S))
+            S.discard(s)
+            ci.delete(s)
+        assert audit_neighbor_counts(ci) == 0, f"step {step}"
+    assert len(S) > 10
 
 
 def test_dhat_two_point_bounds():
