@@ -236,13 +236,15 @@ class DynamicKMeans(ClusterContext):
         base = float(np.dot(w, d2.min(axis=1))) if cols else 0.0
         stop = self.sched.ell_stop_factor
         limit = min(self.k, len(s_init)) - 1
+        # restricted_kmeans only reads the context: one ordering serves all
+        ordering = self.ordering() if limit >= 1 else None
         prev = 0
         i = 0
         while True:
             s_i = 1 << i
             if s_i > limit:
                 break
-            removed = restricted_kmeans(self, s_i, self.rng)
+            removed = restricted_kmeans(self, s_i, self.rng, ordering)
             keep = [j for j, c in enumerate(cols) if c not in removed]
             cost_i = float(np.dot(w, d2[:, keep].min(axis=1)))
             if cost_i > stop * base:

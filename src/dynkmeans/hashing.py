@@ -180,6 +180,12 @@ class ConsistentHash:
         self.top = 0
         self._eval_cache = {}
         self._bucket_cache = {}
+        # The eval ball (radius r = 2*rho/gamma) meets at most 2r/cell + 2
+        # cells per axis, one more allowing for rounding, and 2r/cell =
+        # 4*sqrt(d)/gamma at every rho. When that box fits under the cap,
+        # color 0 never overflows and eval needs no cell count.
+        per_axis = int(4.0 * math.sqrt(p.d) / p.gamma) + 3
+        self.color0_fits = per_axis ** p.d <= p.per_color_cap
 
     def resample(self):
         """Fresh hash family after a NoColor event; owner must rebuild."""
@@ -190,18 +196,21 @@ class ConsistentHash:
         hit = self._eval_cache.get(x)
         if hit is not None:
             return hit
+        c = 0 if self.color0_fits else self._first_color(x)
+        if c > self.top:
+            self.top = c
+        out = (c, self.weak[c].eval(x))
+        if len(self._eval_cache) >= _CACHE_LIMIT:
+            self._eval_cache.clear()
+        self._eval_cache[x] = out
+        return out
+
+    def _first_color(self, x) -> int:
         r = 2.0 * self.rho / self.params.gamma
         cap = self.params.per_color_cap
         for c, wh in enumerate(self.weak):
-            cells = wh.ball_cells(x, r, cap)
-            if cells is not OVER_CAP:
-                if c > self.top:
-                    self.top = c
-                out = (c, wh.eval(x))
-                if len(self._eval_cache) >= _CACHE_LIMIT:
-                    self._eval_cache.clear()
-                self._eval_cache[x] = out
-                return out
+            if wh.ball_cells(x, r, cap) is not OVER_CAP:
+                return c
         raise NoColorError(f"no color admits point {x} under cap {cap}")
 
     def ball_buckets(self, x, radius: float | None = None,

@@ -2,7 +2,10 @@
 
 The static solver is seeding by squared-distance sampling plus bounded
 single-swap local search; it stands in for the almost-linear static
-algorithm the epoch controller treats as a black box. Restricted k-means
+algorithm the epoch controller treats as a black box. On small supports it
+computes one pairwise distance matrix per solve and prices a whole swap
+pass, every candidate against every slot, in one broadcast; each figure is
+bitwise the one a per-candidate loop computes. Restricted k-means
 shrinks the decision to a sketch built from the importance ordering and
 approximate nearest neighbors; augmented k-means repeatedly adds batches of
 distance-squared samples.
@@ -24,15 +27,25 @@ def _pairwise_d2(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
-def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng) -> list:
-    """Seeding: first center by weight, then by weight times squared distance."""
+def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng,
+                      D: np.ndarray | None = None) -> list:
+    """Seeding: first center by weight, then by weight times squared distance.
+
+    The sampled mass is kept as a running minimum over the rows w * d2(., c)
+    of the chosen centers; for w >= 0 that is bitwise w times the running
+    minimum distance. D, when given, is _pairwise_d2(pts, pts), whose rows
+    replace the per-center distance computation."""
     n = pts.shape[0]
+    if D is None:
+        def wrow(c):
+            return w * ((pts - pts[c]) ** 2).sum(axis=1)
+    else:
+        wrow = (D * w).__getitem__
     probs = w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
     first = _draw(probs, rng)
     chosen = [first]
-    d2 = ((pts - pts[first]) ** 2).sum(axis=1)
+    mass = wrow(first)
     while len(chosen) < k:
-        mass = w * d2
         tot = mass.sum()
         if tot <= 0:
             # remaining mass is zero: pick distinct leftover points
@@ -44,18 +57,46 @@ def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng) -> list:
             break
         idx = _draw(mass / tot, rng)
         chosen.append(idx)
-        d2 = np.minimum(d2, ((pts - pts[idx]) ** 2).sum(axis=1))
+        mass = np.minimum(mass, wrow(idx))
     return chosen[:k]
 
 
 def _draw(probs: np.ndarray, rng) -> int:
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u <= acc:
-            return i
-    return len(probs) - 1
+    """First index whose running total of probs reaches a uniform draw; the
+    cumulative sum adds left to right, so the totals are a sequential
+    loop's partial sums."""
+    i = int(probs.cumsum().searchsorted(rng.random()))
+    return min(i, len(probs) - 1)
+
+
+def _swap_costs(w, rows, assign, best1, best2, k: int) -> np.ndarray:
+    """Cost of swapping each candidate into each of the k slots; row i of
+    `rows` holds the candidate's squared distance to every point.
+
+    Each row's total is the same pairwise reduction as a 1-D sum, and the
+    flattened bincount adds each slot's terms in point order, as a per-row
+    bincount would."""
+    m = rows.shape[0]
+    t1 = w * np.minimum(best1, rows)
+    t2 = w * np.minimum(best2, rows)
+    base = np.add.reduce(t1, axis=1)
+    bins = (np.arange(0, m * k, k)[:, None] + assign).ravel()
+    delta = np.bincount(bins, weights=(t2 - t1).ravel(), minlength=m * k)
+    return base[:, None] + delta.reshape(m, k)
+
+
+def _first_improving_swap(D, w, chosen, assign, best1, best2, k: int,
+                          cur: float):
+    """(slot, candidate) for the first unchosen candidate in index order
+    whose best swap improves on cur, or None. Every row of D is priced at
+    once; the rows of chosen points are priced too and discarded."""
+    costs = _swap_costs(w, D, assign, best1, best2, k)
+    better = costs.min(axis=1) < cur * (1 - 1e-12)
+    better[chosen] = False
+    i = int(better.argmax())
+    if not better[i]:
+        return None
+    return int(costs[i].argmin()), i
 
 
 def static_weighted_kmeans(points, weights, k: int, rng):
@@ -82,9 +123,16 @@ def static_weighted_kmeans(points, weights, k: int, rng):
         return list(support)
     pts = np.asarray(support, dtype=np.float64)
     w = np.asarray(agg, dtype=np.float64)
-
-    chosen = weighted_kmeanspp(pts, w, k, rng)
-    d2 = _pairwise_d2(pts, pts[chosen])
+    exhaustive = n <= _EXHAUSTIVE_LIMIT
+    if exhaustive:
+        # (a-b)^2 == (b-a)^2, so D is symmetric and each row is bitwise the
+        # per-center distance vector
+        D = _pairwise_d2(pts, pts)
+        chosen = weighted_kmeanspp(pts, w, k, rng, D)
+        d2 = D[:, chosen]
+    else:
+        chosen = weighted_kmeanspp(pts, w, k, rng)
+        d2 = _pairwise_d2(pts, pts[chosen])
 
     def refresh():
         assign = d2.argmin(axis=1)
@@ -100,43 +148,36 @@ def static_weighted_kmeans(points, weights, k: int, rng):
     cur = float(np.dot(w, best1))
     swaps = 0
     misses = 0
-    exhaustive = n <= _EXHAUSTIVE_LIMIT
-    miss_budget = n if exhaustive else 3 * k
-    order = list(range(n))
     while swaps < 50 * k and cur > 0:
         if exhaustive:
-            cand_iter = order
+            swap = _first_improving_swap(D, w, chosen, assign, best1, best2,
+                                         k, cur)
+            if swap is None:
+                break
+            j, cand = swap
+            dnew = D[cand]
         else:
             mass = w * best1
             tot = mass.sum()
             if tot <= 0:
                 break
-            cand_iter = [_draw(mass / tot, rng)]
-        improved = False
-        for cand in cand_iter:
+            cand = _draw(mass / tot, rng)
             if cand in chosen:
                 continue
             dnew = ((pts - pts[cand]) ** 2).sum(axis=1)
-            t1 = w * np.minimum(best1, dnew)
-            t2 = w * np.minimum(best2, dnew)
-            base = t1.sum()
-            delta = np.bincount(assign, weights=t2 - t1, minlength=k)
-            costs = base + delta
+            costs = _swap_costs(w, dnew[None, :], assign, best1, best2, k)[0]
             j = int(costs.argmin())
-            new_cost = float(costs[j])
-            if new_cost < cur * (1 - 1e-12):
-                chosen[j] = cand
-                d2[:, j] = dnew
-                assign, best1, best2 = refresh()
-                cur = float(np.dot(w, best1))
-                swaps += 1
-                improved = True
-                misses = 0
-                break
-            misses += 1
-        if not improved:
-            if exhaustive or misses >= miss_budget:
-                break
+            if float(costs[j]) >= cur * (1 - 1e-12):
+                misses += 1
+                if misses >= 3 * k:
+                    break
+                continue
+        chosen[j] = cand
+        d2[:, j] = dnew
+        assign, best1, best2 = refresh()
+        cur = float(np.dot(w, best1))
+        swaps += 1
+        misses = 0
     return [support[i] for i in chosen]
 
 
@@ -188,14 +229,17 @@ class ClusterContext:
         return self.assign.d2_sample(rng)[1]
 
 
-def restricted_kmeans(ctx, r: int, rng):
+def restricted_kmeans(ctx, r: int, rng, ordering=None):
     """Choose r centers to delete; cost(X, S - R) stays within the configured
     factor of the best removal. Reads the context without changing it: each
-    sketch partner is an ANN answer with the 6r cheapest centers masked."""
+    sketch partner is an ANN answer with the 6r cheapest centers masked.
+    `ordering`, when given, is ctx.ordering(), computed once by a caller
+    that runs several calls against the same context."""
     S = ctx.centers()
     if not (1 <= r <= len(S) - 1):
         raise UsageError("r out of range")
-    ordering = ctx.ordering()
+    if ordering is None:
+        ordering = ctx.ordering()
     t1 = ordering[:min(6 * r, len(S))]
     t1_set = set(t1)
     t2 = []

@@ -220,3 +220,38 @@ def test_ball_buckets_memo_keyed_by_upto():
     assert h.ball_buckets(x) == full
     assert h.ball_buckets(x, upto=0) == cut
     assert h.ball_buckets(x, upto=P_COLORS.colors - 1) == full
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_eval_skips_the_count_only_where_color_0_cannot_overflow(d):
+    # color0_fits says the eval ball's cell box is under the per-color cap;
+    # then the counted ball must be too, and the value must equal the one
+    # the per-color count gives. At d = 8 the default cap is too small, so
+    # a second Params raises it until the flag is set.
+    rng = make_rng(40, "fits", d)
+    delta = 256 if d < 8 else 1024
+    plist = [Params(epsilon=0.5, d=d, delta=delta, seed=d)]
+    if d == 8:
+        assert not ConsistentHash(plist[0], rho=8.0, seed_tag="t").color0_fits
+        plist.append(Params(epsilon=0.5, d=d, delta=delta, seed=d,
+                            colors=2, lambda_cap=2 * 4 ** 8))
+    checked = 0
+    for p in plist:
+        for level in (0, 2, 5, 8):
+            rho = float(1 << level)
+            fast = ConsistentHash(p, rho=rho, seed_tag=("t", level))
+            slow = ConsistentHash(p, rho=rho, seed_tag=("t", level))
+            slow.color0_fits = False
+            if not fast.color0_fits:
+                continue
+            r = 2.0 * rho / p.gamma
+            for _ in range(60 if d < 8 else 15):
+                x = tuple(rng.randint(1, delta) for _ in range(d))
+                if rng.random() < 0.5:
+                    x = tuple(c + rng.random() for c in x)
+                cells = fast.weak[0].ball_cells(x, r, 10 ** 9)
+                assert len(cells) <= p.per_color_cap
+                assert fast.eval(x) == slow.eval(x)
+                assert fast.top == slow.top == 0
+                checked += 1
+    assert checked >= 60

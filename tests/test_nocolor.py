@@ -160,6 +160,7 @@ def test_nocolor_gives_up_after_bound(name):
 def _force_color_1(h, x):
     """Make color 0 of h overflow on x's evaluation ball only, so h.eval(x)
     returns color 1 while every bucket enumeration is left as it was."""
+    h.color0_fits = False               # else eval never counts color 0's cells
     wh = h.weak[0]
     real = wh.ball_cells
     r_eval = 2.0 * h.rho / h.params.gamma

@@ -1,6 +1,7 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 
 from dynkmeans.errors import UsageError
@@ -8,8 +9,10 @@ from dynkmeans.geometry import (brute_opt_augmented, brute_opt_restricted,
                                 cost, dist)
 from dynkmeans.params import Params
 from dynkmeans.rng import make_rng
-from dynkmeans.subroutines import (ClusterContext, augmented_kmeans,
-                                   restricted_kmeans, static_weighted_kmeans)
+from dynkmeans.subroutines import (_EXHAUSTIVE_LIMIT, ClusterContext,
+                                   _pairwise_d2, _swap_costs, augmented_kmeans,
+                                   restricted_kmeans, static_weighted_kmeans,
+                                   weighted_kmeanspp)
 
 P = Params(epsilon=0.5, d=2, delta=64, seed=41)
 
@@ -68,6 +71,194 @@ def test_static_usage_errors():
         static_weighted_kmeans([(1, 1)], [1.0], 2, make_rng(8, "s"))
     with pytest.raises(UsageError):
         static_weighted_kmeans([(1, 1)], [1.0], 0, make_rng(8, "s"))
+
+
+# The per-candidate solver the array-shaped one replaced, kept verbatim as
+# the oracle: same centers and the same random draws on every instance.
+
+def _oracle_kmeanspp(pts, w, k, rng):
+    n = pts.shape[0]
+    probs = w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
+    first = _oracle_draw(probs, rng)
+    chosen = [first]
+    d2 = ((pts - pts[first]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        mass = w * d2
+        tot = mass.sum()
+        if tot <= 0:
+            for i in range(n):
+                if i not in chosen:
+                    chosen.append(i)
+                    if len(chosen) == k:
+                        break
+            break
+        idx = _oracle_draw(mass / tot, rng)
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((pts - pts[idx]) ** 2).sum(axis=1))
+    return chosen[:k]
+
+
+def _oracle_draw(probs, rng):
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u <= acc:
+            return i
+    return len(probs) - 1
+
+
+def _oracle_static(points, weights, k, rng):
+    support = []
+    seen = {}
+    agg = []
+    for p, w in zip(points, weights):
+        p = tuple(p)
+        if p in seen:
+            agg[seen[p]] += w
+        else:
+            seen[p] = len(support)
+            support.append(p)
+            agg.append(float(w))
+    n = len(support)
+    if k == n:
+        return list(support)
+    pts = np.asarray(support, dtype=np.float64)
+    w = np.asarray(agg, dtype=np.float64)
+    chosen = _oracle_kmeanspp(pts, w, k, rng)
+    d2 = _pairwise_d2(pts, pts[chosen])
+
+    def refresh():
+        assign = d2.argmin(axis=1)
+        best1 = d2[np.arange(n), assign]
+        if k > 1:
+            best2 = np.partition(d2, 1, axis=1)[:, 1]
+        else:
+            best2 = np.full(n, np.inf)
+        return assign, best1, best2
+
+    assign, best1, best2 = refresh()
+    cur = float(np.dot(w, best1))
+    swaps = 0
+    misses = 0
+    exhaustive = n <= _EXHAUSTIVE_LIMIT
+    miss_budget = n if exhaustive else 3 * k
+    order = list(range(n))
+    while swaps < 50 * k and cur > 0:
+        if exhaustive:
+            cand_iter = order
+        else:
+            mass = w * best1
+            tot = mass.sum()
+            if tot <= 0:
+                break
+            cand_iter = [_oracle_draw(mass / tot, rng)]
+        improved = False
+        for cand in cand_iter:
+            if cand in chosen:
+                continue
+            dnew = ((pts - pts[cand]) ** 2).sum(axis=1)
+            t1 = w * np.minimum(best1, dnew)
+            t2 = w * np.minimum(best2, dnew)
+            base = t1.sum()
+            delta = np.bincount(assign, weights=t2 - t1, minlength=k)
+            costs = base + delta
+            j = int(costs.argmin())
+            new_cost = float(costs[j])
+            if new_cost < cur * (1 - 1e-12):
+                chosen[j] = cand
+                d2[:, j] = dnew
+                assign, best1, best2 = refresh()
+                cur = float(np.dot(w, best1))
+                swaps += 1
+                improved = True
+                misses = 0
+                break
+            misses += 1
+        if not improved:
+            if exhaustive or misses >= miss_budget:
+                break
+    return [support[i] for i in chosen]
+
+
+def _random_weighted_points(rng, n, d):
+    """n points on a small grid (so duplicates occur) or spread out, with
+    unit, fractional, heavy or zero weights."""
+    side = rng.choice((3, 8, 64))
+    pts = [tuple(rng.randint(1, side) for _ in range(d)) for _ in range(n)]
+    style = rng.randrange(5)
+    if style == 0:
+        ws = [1.0] * n
+    elif style == 1:
+        ws = [rng.random() for _ in range(n)]
+    elif style == 2:
+        ws = [rng.choice((0.0, 0.0, rng.random() * 1e6)) for _ in range(n)]
+    elif style == 3:
+        ws = [0.0] * n
+    else:
+        ws = [rng.choice((1, 2, 5)) / 3.0 for _ in range(n)]
+    return pts, ws
+
+
+def test_static_matches_per_candidate_oracle():
+    rng = make_rng(30, "eq")
+    regimes = {True: 0, False: 0}
+    for t in range(400):
+        d = rng.choice((1, 2, 3, 8))
+        n = rng.randint(1, 40) if t % 20 else rng.randint(120, 160)
+        pts, ws = _random_weighted_points(rng, n, d)
+        support = len(set(pts))
+        k = rng.randint(1, support)
+        regimes[support <= _EXHAUSTIVE_LIMIT] += 1
+        r_new, r_old = make_rng(31, "eq", t), make_rng(31, "eq", t)
+        assert static_weighted_kmeans(pts, ws, k, r_new) == \
+            _oracle_static(pts, ws, k, r_old), t
+        assert r_new.getstate() == r_old.getstate(), t
+    assert regimes[True] and regimes[False]
+
+
+def test_swap_costs_bitwise_per_candidate():
+    # one broadcast prices every (candidate, slot) pair exactly as the
+    # per-candidate sum and bincount did
+    rng = make_rng(34, "eq")
+    for t in range(100):
+        d = rng.choice((1, 2, 3, 8))
+        pts, ws = _random_weighted_points(rng, rng.randint(2, 70), d)
+        pts = np.asarray(pts, dtype=np.float64)
+        w = np.asarray(ws, dtype=np.float64) + rng.random()
+        n = len(pts)
+        k = rng.randint(1, n)
+        D = _pairwise_d2(pts, pts)
+        d2 = D[:, rng.sample(range(n), k)]
+        assign = d2.argmin(axis=1)
+        best1 = d2[np.arange(n), assign]
+        best2 = (np.partition(d2, 1, axis=1)[:, 1] if k > 1
+                 else np.full(n, np.inf))
+        got = _swap_costs(w, D, assign, best1, best2, k)
+        for c in range(n):
+            dnew = ((pts - pts[c]) ** 2).sum(axis=1)
+            assert np.array_equal(D[c], dnew)
+            t1 = w * np.minimum(best1, dnew)
+            t2 = w * np.minimum(best2, dnew)
+            want = t1.sum() + np.bincount(assign, weights=t2 - t1,
+                                          minlength=k)
+            assert np.array_equal(got[c], want), (t, c)
+
+
+def test_kmeanspp_matches_oracle_under_numpy_generator():
+    rng = make_rng(32, "eq")
+    for t in range(200):
+        d = rng.choice((1, 2, 3, 8))
+        pts, ws = _random_weighted_points(rng, rng.randint(1, 60), d)
+        pts = np.asarray(pts, dtype=np.float64)
+        ws = np.asarray(ws, dtype=np.float64)
+        k = rng.randint(1, len(pts))
+        want_g = np.random.default_rng([33, t])
+        want = _oracle_kmeanspp(pts, ws, k, want_g)
+        for D in (None, _pairwise_d2(pts, pts)):
+            g = np.random.default_rng([33, t])
+            assert weighted_kmeanspp(pts, ws, k, g, D) == want, t
+            assert g.bit_generator.state == want_g.bit_generator.state, t
 
 
 def _instance(rng, n_pts, n_centers, delta=64, cluster=False):
@@ -143,6 +334,21 @@ def test_restricted_oracle_sweep():
         else:
             assert got <= 1e-9
     assert worst <= 50.0, worst
+
+
+def test_restricted_with_given_ordering_is_unchanged():
+    # the epoch controller computes the ordering once for several calls
+    rng = make_rng(22, "r")
+    for t in range(12):
+        pw, S = _instance(rng, rng.randint(10, 40), rng.randint(3, 12),
+                          cluster=t % 2 == 0)
+        ctx = ClusterContext.from_instance(P, pw, S, seed_tag=("t14", t))
+        for r in range(1, len(S)):
+            r_plain, r_given = make_rng(23, t, r), make_rng(23, t, r)
+            want = restricted_kmeans(ctx, r, r_plain)
+            got = restricted_kmeans(ctx, r, r_given, ordering=ctx.ordering())
+            assert got == want
+            assert r_given.getstate() == r_plain.getstate()
 
 
 def test_restricted_t2_ann_contract():
