@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import AssignmentStructure
 from .errors import UsageError
-from .geometry import WeightedSet, dist
+from .geometry import WeightedSet, check_weighted_point, dist
 from .params import Params, schedule_for
 from .range_query import BallOneMeans, CenterIndex, MomentSummary
 from .rng import make_rng
@@ -130,8 +130,7 @@ class DynamicKMeans(ClusterContext):
         if op == "insert":
             if key in self.X:
                 raise UsageError(f"duplicate id {key!r}")
-            if not (math.isfinite(weight) and weight >= 0):
-                raise UsageError(f"weight must be finite and >= 0, got {weight!r}")
+            check_weighted_point(point, weight, self.params.d)
         elif op == "delete":
             if key not in self.X:
                 raise UsageError(f"unknown id {key!r}")
@@ -278,17 +277,23 @@ class DynamicKMeans(ClusterContext):
                 if u is not None and dist(x, u) <= radius:
                     contaminated.add(u)
 
+        # augmented samples and x+ are scratch centers: restricted k-means
+        # removes almost all of them again, so they stay staged in `cent`
+        # (answered for, but outside its neighbor counts and event log) and
+        # only the survivors are inserted for real, in staging order, before
+        # robustify drains the flips of the committed centers
         a = max(1, math.ceil(sched.augment_per_update * (self.ell + 1)))
         augmented_kmeans(self, a, sched.d2_samples, self.rng)
         for p in x_plus:
-            if p not in self.cent.centers:
-                self.center_add(p, tag=None)
+            if p not in self.assign.centers:
+                self.center_stage(p)
 
-        r = len(self.cent.centers) - self.k
+        r = len(self.assign.centers) - self.k
         if r >= 1:
             removed = restricted_kmeans(self, r, self.rng)
             for s in sorted(removed):
                 self.center_remove(s)
+        self.cent.commit()
         w_prime = set(self.cent.centers)
         assert len(w_prime) <= self.k
 

@@ -20,6 +20,15 @@ GridPoint = tuple  # tuple[int, ...]
 _COMBO_GUARD = 10 ** 6
 
 
+def check_weighted_point(point, weight, d: int):
+    """UsageError unless point has d coordinates and weight is finite and
+    >= 0. Entry points run it before they change any state."""
+    if not (math.isfinite(weight) and weight >= 0):
+        raise UsageError(f"weight must be finite and >= 0, got {weight!r}")
+    if point is None or len(point) != d:
+        raise UsageError(f"point must have {d} coordinates, got {point!r}")
+
+
 def dist2(p: GridPoint, q: GridPoint) -> float:
     if len(p) != len(q):
         raise UsageError("dimension mismatch")
@@ -71,10 +80,7 @@ class WeightedSet:
     def insert(self, key, point: GridPoint, weight: float):
         if key in self.entries:
             raise UsageError(f"duplicate id {key!r}")
-        if weight < 0:
-            raise UsageError("negative weight")
-        if len(point) != self.d:
-            raise UsageError("dimension mismatch")
+        check_weighted_point(point, weight, self.d)
         self.entries[key] = (point, weight)
         self._by_point[point] = self._by_point.get(point, 0) + 1
         row = len(self._row2id)

@@ -12,7 +12,8 @@ dyadic levels and answers the ANN oracle, the per-scale neighbor bits, the
 maintained distance upper bounds, and the threshold indicators with flip
 reporting. A neighbor bit is a maintained neighbor count > 0: the count of
 other centers in the cells of the center's footprint, adjusted by one at each
-listener when a center is inserted or deleted.
+listener when a center is inserted or deleted. Scratch centers can be staged:
+hashed and answered for, but kept out of the counts until they are committed.
 """
 
 from __future__ import annotations
@@ -245,6 +246,13 @@ class CenterRecord:
     ell: Optional[int] = None   # min level with bit 1
 
 
+@dataclass(slots=True)
+class StagedRecord:
+    """What a CenterIndex keeps for one staged center."""
+    tag: object
+    cells: dict                 # level -> cell holding the center
+
+
 class CenterIndex:
     """Dynamic center set under the dyadic hash levels.
 
@@ -252,6 +260,24 @@ class CenterIndex:
     class) and keeps the per-scale neighbor bits, the maintained distance
     upper bound dhat(s, S - s), and threshold indicator bits with exact flip
     reporting. Each center has one CenterRecord in `centers`.
+
+    Staging. `stage` admits a scratch center that will most likely be deleted
+    again soon: it is hashed at every level like an insert, so top raises and
+    NoColor resamples see it, but it is recorded only in a per-level overlay
+    of cells (`overlay`) and its StagedRecord in `staged`. It enters no
+    listener set and no neighbor count. Every answer is the one an insert
+    would give: a staged center's dhat probes its footprints upward through
+    the committed cells and the overlay, a committed center's dhat is the
+    lower of its maintained `ell` and the lowest level where a staged
+    center's cell lies in its footprint (read from the listener sets), and
+    ann_query reads the overlay too. `delete` of a staged center only drops
+    it from the overlay; `commit` inserts every staged center for real, in
+    staging order, and `insert` refuses while any center is staged. The
+    committed state (cells, counts, bits, `ell`, indicator rows) is a
+    function of the committed membership, so it equals the state eager
+    inserts and deletes would leave. The event log covers committed centers
+    only: it holds no flip made and undone by a center that never left
+    staging.
     """
 
     track_dist = True   # read by perfbench's tracer to name the update span
@@ -267,6 +293,8 @@ class CenterIndex:
         self.cells = {i: {} for i in self.hashes}     # level -> cell -> set
         self.gammas = tuple(gammas)
         self.centers = {}      # center -> CenterRecord
+        self.staged = {}       # center -> StagedRecord, in staging order
+        self.overlay = {i: {} for i in self.hashes}   # level -> cell -> set
         self.listen = {i: {} for i in self.hashes}
         self.events = []       # (center, gamma, new_bit)
         self.nocolor_events = 0
@@ -277,13 +305,19 @@ class CenterIndex:
         return tuple(h.ball_buckets(p, radius=float(1 << i), upto=h.top))
 
     def _level_items(self, i):
-        return [(s, s) for s in self.centers]
+        return [(s, s) for s in self.centers] + [(s, s) for s in self.staged]
 
     def _install_level(self, i, cells):
         self.cells[i] = {}
+        self.overlay[i] = {}
         for s, z in cells.items():
-            self.centers[s].cells[i] = z
-            self.cells[i].setdefault(z, set()).add(s)
+            rec = self.centers.get(s)
+            if rec is None:
+                self.staged[s].cells[i] = z
+                self.overlay[i].setdefault(z, set()).add(s)
+            else:
+                rec.cells[i] = z
+                self.cells[i].setdefault(z, set()).add(s)
         self.listen[i] = {}
         for s, rec in self.centers.items():
             fp = self._footprint(i, s)
@@ -334,22 +368,55 @@ class CenterIndex:
         if rec.ell != old_ell:
             self._refresh_indicators(s)
 
+    def _bound(self, e) -> float:
+        return INF if e is None else 3.0 * self.params.gamma * (1 << e)
+
+    def _staged_low(self, s, top):
+        """Lowest level below `top` where a staged center's cell lies in the
+        footprint of committed center s, or None."""
+        for i in range(top):
+            listen = self.listen[i]
+            for z in self.overlay[i]:
+                lst = listen.get(z)
+                if lst is not None and s in lst:
+                    return i
+        return None
+
+    def _staged_ell(self, s):
+        """Lowest level where staged center s's footprint holds another
+        center, committed or staged, or None."""
+        for i, h in self.hashes.items():
+            cells, overlay = self.cells[i], self.overlay[i]
+            for c in h.ball_buckets(s, radius=float(1 << i), upto=h.top):
+                if c in cells:
+                    return i
+                members = overlay.get(c)
+                if members and (len(members) > 1 or s not in members):
+                    return i
+        return None
+
     def dhat(self, s) -> float:
-        """Maintained bound with dist <= dhat <= 6*gamma*dist; inf if |S|<2."""
+        """Maintained bound with dist <= dhat <= 6*gamma*dist; inf if |S|<2.
+        Staged centers count as members of S."""
         rec = self.centers.get(s)
         if rec is None:
-            raise UsageError(f"unknown center {s!r}")
+            if s not in self.staged:
+                raise UsageError(f"unknown center {s!r}")
+            return self._bound(self._staged_ell(s))
         e = rec.ell
-        if e is None:
-            return INF
-        return 3.0 * self.params.gamma * (1 << e)
+        if self.staged:
+            low = self._staged_low(s, self.L + 1 if e is None else e)
+            if low is not None:
+                e = low
+        return self._bound(e)
 
     def _refresh_indicators(self, s):
         if not self.gammas:
             return
-        d = self.dhat(s)
+        rec = self.centers[s]
+        d = self._bound(rec.ell)
         thresh = 6.0 * self.params.gamma
-        row = self.centers[s].ind_bits
+        row = rec.ind_bits
         for gi, g in enumerate(self.gammas):
             val = 1 if d <= thresh * g else 0
             if row[gi] != val:
@@ -368,6 +435,8 @@ class CenterIndex:
 
     def insert(self, s, tag=None):
         s = tuple(s)
+        if self.staged:
+            raise UsageError("insert while centers are staged; commit first")
         if s in self.centers:
             raise UsageError(f"duplicate center {s!r}")
         rec = CenterRecord(tag, {i: hash_level(self, i, s) for i in self.hashes},
@@ -395,8 +464,35 @@ class CenterIndex:
                     if counts[i] == 1:
                         self._set_bit(t, i, True)
 
+    def stage(self, s, tag=None):
+        """Admit s as a staged center (see the class docstring)."""
+        s = tuple(s)
+        if s in self.centers or s in self.staged:
+            raise UsageError(f"duplicate center {s!r}")
+        cells = {i: hash_level(self, i, s) for i in self.hashes}
+        self.staged[s] = StagedRecord(tag, cells)
+        for i, z in cells.items():
+            self.overlay[i].setdefault(z, set()).add(s)
+
+    def commit(self):
+        """Insert every staged center for real, in staging order. Each was
+        hashed when staged, so its inserts rebuild no level."""
+        staged = self.staged
+        self.staged = {}
+        self.overlay = {i: {} for i in self.hashes}
+        for s, rec in staged.items():
+            self.insert(s, rec.tag)
+
     def delete(self, s):
         s = tuple(s)
+        staged = self.staged.pop(s, None)
+        if staged is not None:
+            for i, z in staged.cells.items():
+                members = self.overlay[i][z]
+                members.discard(s)
+                if not members:
+                    del self.overlay[i][z]
+            return
         if s not in self.centers:
             raise UsageError(f"unknown center {s!r}")
         rec = self.centers.pop(s)
@@ -420,6 +516,10 @@ class CenterIndex:
                 if not counts[i]:
                     self._set_bit(t, i, False)
 
+    def _record(self, s):
+        rec = self.centers.get(s)
+        return self.staged[s] if rec is None else rec
+
     def retag(self, s, tag):
         self.centers[s].tag = tag
 
@@ -429,12 +529,13 @@ class CenterIndex:
                   allow_equal=False):
         """A center s != x with dist(x, s) <= 6*gamma*dist(x, S - x).
 
-        tag restricts candidates to one tag class; exclude hides centers
-        without structural changes. Returns None when no candidate exists.
-        max_dist stops the level scan once every candidate provably lies
-        farther than max_dist (callers that only care about near hits).
-        allow_equal admits a center sitting exactly at x (contamination
-        scans probe from data points, where the coincident center counts).
+        Staged centers are candidates too. tag restricts candidates to one
+        tag class; exclude hides centers without structural changes. Returns
+        None when no candidate exists. max_dist stops the level scan once
+        every candidate provably lies farther than max_dist (callers that
+        only care about near hits). allow_equal admits a center sitting
+        exactly at x (contamination scans probe from data points, where the
+        coincident center counts).
         """
         x = tuple(x)
         best = None
@@ -443,14 +544,19 @@ class CenterIndex:
                 return None
             h = self.hashes[i]
             values = h.ball_buckets(x, radius=float(1 << i), upto=h.top)
+            cells, overlay = self.cells[i], self.overlay[i]
             for z in values:
-                members = self.cells[i].get(z)
+                members = cells.get(z)
+                if overlay:
+                    extra = overlay.get(z)
+                    if extra:
+                        members = extra.union(members) if members else extra
                 if not members:
                     continue
                 for s in members:
                     if (s == x and not allow_equal) or s in exclude:
                         continue
-                    if tag is not None and self.centers[s].tag != tag:
+                    if tag is not None and self._record(s).tag != tag:
                         continue
                     if best is None or s < best:
                         best = s

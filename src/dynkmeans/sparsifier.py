@@ -20,7 +20,7 @@ import numpy as np
 
 from .controller import DynamicKMeans
 from .errors import UsageError
-from .geometry import WeightedSet
+from .geometry import WeightedSet, check_weighted_point
 from .params import Params
 from .rng import make_np_rng
 from .subroutines import weighted_kmeanspp
@@ -246,8 +246,11 @@ class SparsifiedRunner:
             self.primary.update("insert", uid, p, w)
 
     def update(self, op: str, key, point=None, weight=1.0) -> int:
-        """Apply one input update; returns the number of primary resets."""
+        """Apply one input update; returns the number of primary resets.
+        Bad input changes nothing: the point and weight are checked here and
+        the key by the sparsifier, before either changes state."""
         if op == "insert":
+            check_weighted_point(point, weight, self.params.d)
             deltas = self.sparsifier.insert(key, point, weight)
         elif op == "delete":
             deltas = self.sparsifier.delete(key)

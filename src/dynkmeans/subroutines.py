@@ -211,6 +211,14 @@ class ClusterContext:
         self.assign.center_insert(s)
         self.cent.insert(s, tag=tag)
 
+    def center_stage(self, s, tag=None):
+        """A scratch center: in the assignment structure at once, where
+        distance-squared sampling reads it, and staged in `cent` until its
+        caller runs `cent.commit()`. center_remove drops it either way."""
+        s = tuple(s)
+        self.assign.center_insert(s)
+        self.cent.stage(s, tag=tag)
+
     def center_remove(self, s):
         s = tuple(s)
         self.assign.center_delete(s)
@@ -269,8 +277,9 @@ def restricted_kmeans(ctx, r: int, rng, ordering=None):
 
 def augmented_kmeans(ctx, a: int, t: int, rng):
     """(a + 1) rounds of t distance-squared draws, feeding each round's batch
-    back into the sampled center set, where the samples stay. Returns the
-    list of distinct sampled points (at most (a + 1) * t)."""
+    back into the sampled center set, where the samples stay as staged
+    centers (ClusterContext.center_stage). Returns the list of distinct
+    sampled points (at most (a + 1) * t)."""
     if a < 1:
         raise UsageError("a must be >= 1")
     added = []
@@ -290,6 +299,6 @@ def augmented_kmeans(ctx, a: int, t: int, rng):
         for p in batch:
             if p not in base:
                 base.add(p)
-                ctx.center_add(p)
+                ctx.center_stage(p)
                 added.append(p)
     return added

@@ -58,12 +58,32 @@ def test_bad_weight_rejected_before_any_state_change(weight):
         dk.update("insert", i, p, 1.0)
     assert dk.active and not dk.epoch_live   # the next update starts an epoch
     rng_state = dk.rng.getstate()
+    sol = dk.solution()
     with pytest.raises(UsageError):
         dk.update("insert", 9, (30, 30), weight)
     assert not dk.epoch_live
     assert dk.rng.getstate() == rng_state
+    assert dk.solution() == sol
     assert 9 not in dk.X and 9 not in dk.assign.points
     assert len(dk.ball1m) == 4
+
+
+@pytest.mark.parametrize("point", [(30,), (30, 30, 30), None])
+def test_bad_point_rejected_before_any_state_change(point):
+    dk = DynamicKMeans(P, 3)
+    for i, p in enumerate([(10, 10), (50, 50), (100, 100), (200, 200)]):
+        dk.update("insert", i, p, 1.0)
+    assert dk.active and not dk.epoch_live   # the next update starts an epoch
+    rng_state = dk.rng.getstate()
+    sol = dk.solution()
+    with pytest.raises(UsageError, match="2 coordinates"):
+        dk.update("insert", 9, point, 1.0)
+    assert not dk.epoch_live
+    assert dk.rng.getstate() == rng_state
+    assert dk.solution() == sol
+    assert 9 not in dk.X and len(dk.ball1m) == 4
+    dk.update("insert", 9, (30, 30), 1.0)     # the id is still free
+    assert 9 in dk.X
 
 
 def test_lazy_rules_in_long_epoch():

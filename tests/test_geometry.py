@@ -134,6 +134,18 @@ def test_weighted_set_basics():
         X.insert("b", (1, 1), 1.0)
 
 
+@pytest.mark.parametrize("point,weight", [
+    ((1, 2), float("nan")), ((1, 2), float("inf")), ((1, 2), -1.0),
+    ((1, 2, 3), 1.0), ((1,), 1.0)])
+def test_weighted_set_rejects_bad_input(point, weight):
+    X = WeightedSet(2)
+    X.insert("a", (4, 5), 1.0)
+    with pytest.raises(UsageError):
+        X.insert("b", point, weight)
+    assert "b" not in X and len(X) == 1
+    assert X.cost([(4, 5)]) == 0.0
+
+
 def test_weighted_set_mirror_matches_loop():
     rng = make_rng(2, "mirror")
     X = WeightedSet(2)

@@ -172,6 +172,11 @@ def test_run_stream_bad_mode():
 
 
 CLI = [sys.executable, "-m", "dynkmeans.cli"]
+# the child interpreter imports the package from where this one did, so the
+# CLI tests run from a checkout without an install
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.dirname(os.path.dirname(cli.__file__))]
+    + [x for x in os.environ.get("PYTHONPATH", "").split(os.pathsep) if x]))
 
 
 def test_cli_gen_run_verify(tmp_path):
@@ -179,18 +184,18 @@ def test_cli_gen_run_verify(tmp_path):
     out = subprocess.run(CLI + ["gen", "--mode", "clustered", "--n", "80",
                                 "--k", "3", "--delta", "64",
                                 "--out", str(stream_path)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert out.returncode == 0
     metrics = tmp_path / "m.csv"
     out = subprocess.run(CLI + ["run", str(stream_path), "--k", "3",
                                 "--baseline-every", "40", "--fixed-time",
                                 "--out", str(metrics)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert out.returncode == 0, out.stderr
     assert metrics.exists() and metrics.with_suffix(".csv.summary").exists()
     assert "ratio_p50=" in out.stdout
     out = subprocess.run(CLI + ["verify", "--suite", "lemmas"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert out.returncode == 0
     assert "PASS lemmas.projection" in out.stdout
 
@@ -198,7 +203,7 @@ def test_cli_gen_run_verify(tmp_path):
 def test_cli_verify_injected_failure():
     out = subprocess.run(CLI + ["verify", "--suite", "hashing",
                                 "--lambda-cap", "1"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert out.returncode == 1
     assert "FAIL" in out.stdout
 
@@ -212,17 +217,17 @@ def test_cli_lambda_cap_only_with_hashing(suite, capsys):
 
 def test_cli_usage_errors():
     out = subprocess.run(CLI + ["run", "/nonexistent/stream.txt"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert out.returncode == 2
     out = subprocess.run(CLI + ["gen", "--mode", "bogus"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert out.returncode == 2  # argparse rejects the choice
 
 
 def test_cli_bench_smoke():
     out = subprocess.run(CLI + ["bench", "--k", "3", "--n-small", "60",
                                 "--n-large", "150", "--delta", "64"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert out.returncode == 0, out.stderr
     assert "growth_alg=" in out.stdout and "growth_naive=" in out.stdout
 
@@ -231,18 +236,18 @@ def test_cli_jl_and_config(tmp_path):
     stream_path = tmp_path / "s4.txt"
     subprocess.run(CLI + ["gen", "--mode", "clustered", "--n", "60",
                           "--d", "4", "--k", "3", "--delta", "64",
-                          "--out", str(stream_path)], check=True)
+                          "--out", str(stream_path)], check=True, env=ENV)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("epsilon=0.5\nseed=9\nsched.ell_stop_factor=20\n")
     out = subprocess.run(CLI + ["--config", str(cfg), "run", str(stream_path),
                                 "--k", "3", "--jl-dim", "2", "--fixed-time",
                                 "--baseline-every", "30"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=ENV)
     assert out.returncode == 0, out.stderr
     out2 = subprocess.run(CLI + ["--config", str(cfg), "run", str(stream_path),
                                  "--k", "3", "--jl-dim", "2", "--fixed-time",
                                  "--baseline-every", "30"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     assert out.stdout == out2.stdout  # projection is seed-deterministic
 
 

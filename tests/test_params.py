@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dynkmeans.controller import DynamicKMeans
 from dynkmeans.errors import UsageError
 from dynkmeans.params import GAMMA_FLOOR, Params, schedule_for
 
@@ -73,3 +74,19 @@ def test_aspect_and_levels():
     p = Params(epsilon=0.5, d=4, delta=128)
     assert math.isclose(p.aspect, 2 * 128)
     assert 2 ** p.dyadic_levels >= p.aspect
+
+
+@pytest.mark.parametrize("preset", ["practical", "paper_faithful"])
+@pytest.mark.parametrize("d,delta", [(1, 64), (2, 256), (3, 512), (4, 128),
+                                     (8, 1024)])
+def test_no_reachable_dhat_reaches_a_yellow_makerobust(preset, d, delta):
+    # The largest finite dhat is 3*gamma*2^L. While its check level is 0,
+    # the yellow queue never calls _make_robust on a center whose level is
+    # set, so flips that a staged center makes and undoes cannot move the
+    # output: CenterIndex's event log may leave them out. A schedule change
+    # that breaks this must re-argue staging.
+    p = Params(epsilon=0.5, d=d, delta=delta, preset=preset)
+    dk = DynamicKMeans(p, k=2)
+    top = 3.0 * p.gamma * (1 << p.dyadic_levels)
+    assert dk.cent._bound(p.dyadic_levels) == top
+    assert dk._smallest_t(top, dk.sched.robust_div) == 0

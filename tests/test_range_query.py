@@ -359,3 +359,95 @@ def test_insert_then_delete_same_id_range_usage():
     bm.delete("k")
     with pytest.raises(UsageError):
         bm.delete("k")
+
+
+# -- staged centers ----------------------------------------------------------
+
+
+def _index_state(ci):
+    """The committed state of a CenterIndex, which staging must reproduce."""
+    centers = {s: (rec.tag, dict(rec.cells),
+                   {i: set(fp) for i, fp in rec.footprints.items()},
+                   list(rec.counts), bytes(rec.bits), rec.ell,
+                   bytes(rec.ind_bits))
+               for s, rec in ci.centers.items()}
+    hashes = {i: (h.attempt, h.top) for i, h in ci.hashes.items()}
+    return centers, ci.cells, ci.listen, hashes
+
+
+def _answers(ci, rng, probes, centers):
+    """Every dhat, and ANN answers with and without tag, exclude, max_dist
+    and allow_equal, drawn from rng."""
+    out = [(s, ci.dhat(s)) for s in sorted(centers)]
+    for x in probes:
+        exclude = frozenset(s for s in centers if rng.random() < 0.3)
+        for tag in (None, 0, 1):
+            out.append(ci.ann_query(x, tag=tag))
+            out.append(ci.ann_query(x, tag=tag, exclude=exclude,
+                                    allow_equal=True))
+        out.append(ci.ann_query(x, exclude=exclude, max_dist=4.0))
+    return out
+
+
+@pytest.mark.parametrize("d,delta", [(1, 256), (2, 64), (3, 32), (8, 16)])
+def test_staging_matches_eager_insertion(d, delta):
+    # a twin index inserts the staged batch for real: every answer during
+    # staging, and the committed state after the same deletes, must match
+    from test_nocolor import _force_color_1, _stub
+
+    p = Params(epsilon=0.5, d=d, delta=delta, seed=23)
+    rng = make_rng(d, "staging")
+    box = max(3, delta // 4)            # crowded enough for low-level neighbors
+
+    def point():
+        return tuple(rng.randint(1, box) for _ in range(d))
+
+    pts = list(dict.fromkeys(point() for _ in range(40)))
+    committed, batch = pts[:12], pts[12:30]
+    tags = {s: rng.choice((None, 0, 1)) for s in pts}
+    staged = CenterIndex(p, "stg", gammas=(1.0, 4.0, 16.0))
+    eager = CenterIndex(p, "stg", gammas=(1.0, 4.0, 16.0))
+    for ci in (staged, eager):
+        for s in committed:
+            ci.insert(s, tag=tags[s])
+    widen_level, nocolor_level = 1, 2
+    for j, s in enumerate(batch):
+        for ci in (staged, eager):
+            if j == 3:                  # s is the first to take color 1
+                _force_color_1(ci.hashes[widen_level], s)
+            if j == 7:                  # s's evaluation resamples the level
+                _stub(ci.hashes[nocolor_level], fail_always=False)
+        staged.stage(s, tag=tags[s])
+        eager.insert(s, tag=tags[s])
+    assert staged.hashes[widen_level].top == 1
+    assert staged.nocolor_events == eager.nocolor_events == 1
+    assert staged.centers.keys() == set(committed)
+    assert all(s in staged.centers for s, _, _ in staged.events)
+    fresh = (delta,) * d                # outside the box, so never staged
+    with pytest.raises(UsageError):
+        staged.insert(fresh)
+
+    live = set(committed) | set(batch)
+    probes = sorted(live)[:10] + [point() for _ in range(10)]
+    seed = rng.randrange(1 << 30)
+    assert (_answers(staged, make_rng(seed, "a"), probes, live)
+            == _answers(eager, make_rng(seed, "a"), probes, live))
+
+    # restricted k-means removes staged and committed centers alike
+    gone = [s for s in sorted(live) if rng.random() < 0.6]
+    for ci in (staged, eager):
+        for s in gone:
+            ci.delete(s)
+    live -= set(gone)
+    assert (_answers(staged, make_rng(seed, "b"), probes, live)
+            == _answers(eager, make_rng(seed, "b"), probes, live))
+    staged.commit()
+    assert not staged.staged
+    assert not any(staged.overlay.values())
+    assert _index_state(staged) == _index_state(eager)
+    assert audit_neighbor_counts(staged) == 0
+    assert (_answers(staged, make_rng(seed, "c"), probes, live)
+            == _answers(eager, make_rng(seed, "c"), probes, live))
+    for ci in (staged, eager):
+        ci.insert(fresh)
+    assert _index_state(staged) == _index_state(eager)

@@ -118,6 +118,37 @@ def test_sparsifier_duplicate_and_unknown_ids():
         sp.delete(99)
 
 
+def _runner_state(runner):
+    sp = runner.sparsifier
+    return (dict(runner.U.entries), dict(sp.buffer), dict(sp.owner),
+            sp.updates, runner.contract_holds(), runner.solution())
+
+
+@pytest.mark.parametrize("op,key,point,weight", [
+    ("insert", 100, (30, 30), float("nan")),
+    ("insert", 100, (30, 30), float("inf")),
+    ("insert", 100, (30, 30), -1.0),
+    ("insert", 100, (30, 30, 30), 1.0),
+    ("insert", 100, (30,), 1.0),
+    ("insert", 3, (30, 30), 1.0),       # duplicate id
+    ("delete", 100, None, 1.0),         # unknown id
+])
+def test_runner_rejects_bad_input_before_any_state_change(op, key, point,
+                                                          weight):
+    runner = SparsifiedRunner(P, k=3, n_hint=64, verifiers=2)
+    stream = gen_workload("clustered", 30, 2, 256, 3, ins_frac=1.0, seed=6)
+    for o, kk, pp, ww in stream.ops():
+        runner.update(o, kk, pp, ww)
+    before = _runner_state(runner)
+    with pytest.raises(UsageError, match=f"{key}|coordinates|weight"):
+        runner.update(op, key, point, weight)
+    assert _runner_state(runner) == before
+    runner.update("insert", 100, (30, 30), 1.0)   # the id is still free
+    assert runner.contract_holds()
+    runner.update("delete", 100)
+    assert runner.contract_holds()
+
+
 def test_runner_small_x_equals_solution():
     runner = SparsifiedRunner(P, k=5, n_hint=64, verifiers=2)
     pts = [(10, 10), (50, 50), (90, 90)]
