@@ -80,7 +80,9 @@ def main(argv=None) -> int:
     g.add_argument("--window", type=int, default=None)
     g.add_argument("--out", default="-")
 
-    r = sub.add_parser("run", help="replay a stream through the algorithm")
+    # no abbreviations: `run --d` would otherwise be read as --delta
+    r = sub.add_parser("run", help="replay a stream through the algorithm",
+                       allow_abbrev=False)
     r.add_argument("stream", help="stream file path")
     r.add_argument("--mode", choices=("direct", "sparsified"), default="direct")
     r.add_argument("--k", type=int, default=None)
@@ -90,7 +92,6 @@ def main(argv=None) -> int:
     r.add_argument("--fixed-time", action="store_true",
                    help="deterministic time column for reproducible files")
     r.add_argument("--alpha", type=float, default=25.0)
-    r.add_argument("--d", type=int, default=None)
     r.add_argument("--delta", type=int, default=None)
     r.add_argument("--jl-dim", type=int, default=None,
                    help="project incoming points to this dimension first")
@@ -126,8 +127,7 @@ def main(argv=None) -> int:
         if args.cmd == "run":
             with open(args.stream) as fh:
                 stream = UpdateStream.parse(fh.read())
-            if args.d is None:
-                args.d = stream.d
+            args.d = stream.d       # a stream fixes its own dimension
             if args.delta is None:
                 args.delta = stream.delta
             params = params_from(cfg, args)

@@ -84,7 +84,6 @@ class DynamicKMeans(ClusterContext):
         self.time_epoch_ns = 0         # epoch start/end pipelines
         self.violations: list = []     # instrumented assertion failures
         self.on_makerobust = None      # callback(MakeRobustRecord)
-        self.force_solution = None     # test hook: overrides solution()
 
     # ------------------------------------------------------------------ util
 
@@ -94,8 +93,6 @@ class DynamicKMeans(ClusterContext):
                 + self.cent.nocolor_events)
 
     def solution(self) -> frozenset:
-        if self.force_solution is not None:
-            return frozenset(self.force_solution)
         return frozenset(self.S_out)
 
     def level(self, s, default):
@@ -130,7 +127,8 @@ class DynamicKMeans(ClusterContext):
         if op == "insert":
             if key in self.X:
                 raise UsageError(f"duplicate id {key!r}")
-            check_weighted_point(point, weight, self.params.d)
+            check_weighted_point(point, weight, self.params.d,
+                                 self.params.delta)
         elif op == "delete":
             if key not in self.X:
                 raise UsageError(f"unknown id {key!r}")

@@ -20,13 +20,18 @@ GridPoint = tuple  # tuple[int, ...]
 _COMBO_GUARD = 10 ** 6
 
 
-def check_weighted_point(point, weight, d: int):
+def check_weighted_point(point, weight, d: int, delta: int | None = None):
     """UsageError unless point has d coordinates and weight is finite and
-    >= 0. Entry points run it before they change any state."""
+    >= 0; given delta, also unless point lies on the grid [1, delta]^d.
+    Entry points run it before they change any state."""
     if not (math.isfinite(weight) and weight >= 0):
         raise UsageError(f"weight must be finite and >= 0, got {weight!r}")
     if point is None or len(point) != d:
         raise UsageError(f"point must have {d} coordinates, got {point!r}")
+    if delta is not None and not all(1 <= v <= delta and v == int(v)
+                                     for v in point):
+        raise UsageError(f"point coordinates must be integers in "
+                         f"[1, {delta}], got {point!r}")
 
 
 def dist2(p: GridPoint, q: GridPoint) -> float:

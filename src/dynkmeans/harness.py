@@ -83,7 +83,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
     if jl_dim is not None:
         if jl_dim < 1:
             raise UsageError("jl dimension must be >= 1")
-        params = params.with_overrides(d=jl_dim)
+        params = replace(params, d=jl_dim)
         jl_matrix = make_jl_matrix(stream.d, jl_dim,
                                    make_np_rng(params.seed, "jl"))
 

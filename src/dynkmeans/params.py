@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import UsageError
 
@@ -108,9 +108,6 @@ class Params:
     def dyadic_levels(self) -> int:
         """ceil(log2(aspect)): number of dyadic scales above 1."""
         return max(1, math.ceil(math.log2(self.aspect)))
-
-    def with_overrides(self, **kw) -> "Params":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)

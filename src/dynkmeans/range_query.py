@@ -236,21 +236,14 @@ class BallOneMeans:
 
 @dataclass(slots=True)
 class CenterRecord:
-    """What a CenterIndex keeps for one center."""
+    """What a CenterIndex keeps for one committed center. Its neighbor bit
+    at level i is counts[i] > 0; its dhat and indicator bits are read from
+    ell."""
     tag: object
     cells: dict                 # level -> cell holding the center
     footprints: dict            # level -> tuple of cells probed for neighbors
     counts: list                # level -> other centers in the footprint
-    bits: bytearray             # neighbor bit per level: count > 0
-    ind_bits: bytearray         # indicator bit per gamma
-    ell: Optional[int] = None   # min level with bit 1
-
-
-@dataclass(slots=True)
-class StagedRecord:
-    """What a CenterIndex keeps for one staged center."""
-    tag: object
-    cells: dict                 # level -> cell holding the center
+    ell: Optional[int] = None   # lowest level with a nonzero count
 
 
 class CenterIndex:
@@ -259,25 +252,28 @@ class CenterIndex:
     One set of cells answers the ANN oracle (optionally restricted to a tag
     class) and keeps the per-scale neighbor bits, the maintained distance
     upper bound dhat(s, S - s), and threshold indicator bits with exact flip
-    reporting. Each center has one CenterRecord in `centers`.
+    reporting. Each committed center has one CenterRecord in `centers`, which
+    stores each fact once: a neighbor bit is a nonzero count, `ell` is the
+    lowest level with one, and dhat and the indicator bits are functions of
+    `ell`. A flip is reported whenever a change of `ell` changes a bit.
 
     Staging. `stage` admits a scratch center that will most likely be deleted
     again soon: it is hashed at every level like an insert, so top raises and
     NoColor resamples see it, but it is recorded only in a per-level overlay
-    of cells (`overlay`) and its StagedRecord in `staged`. It enters no
-    listener set and no neighbor count. Every answer is the one an insert
-    would give: a staged center's dhat probes its footprints upward through
-    the committed cells and the overlay, a committed center's dhat is the
-    lower of its maintained `ell` and the lowest level where a staged
-    center's cell lies in its footprint (read from the listener sets), and
-    ann_query reads the overlay too. `delete` of a staged center only drops
-    it from the overlay; `commit` inserts every staged center for real, in
-    staging order, and `insert` refuses while any center is staged. The
-    committed state (cells, counts, bits, `ell`, indicator rows) is a
-    function of the committed membership, so it equals the state eager
-    inserts and deletes would leave. The event log covers committed centers
-    only: it holds no flip made and undone by a center that never left
-    staging.
+    of cells (`overlay`) and as its level -> cell map in `staged`. It has no
+    tag and enters no listener set and no neighbor count. Every answer is the
+    one an untagged insert would give: a staged center's dhat is read from
+    the level where the ANN walk from it first finds another center,
+    committed or staged; a committed center's dhat is the lower of its
+    maintained `ell` and the lowest level where a staged center's cell lies
+    in its footprint (read from the listener sets); and ann_query reads the
+    overlay too. `delete` of a staged center only drops it from the overlay;
+    `commit` inserts every staged center for real, in staging order, and
+    `insert` refuses while any center is staged. The committed state (cells,
+    counts, `ell`) is a function of the committed membership, so it equals
+    the state eager inserts and deletes would leave. The event log covers
+    committed centers only: it holds no flip made and undone by a center
+    that never left staging.
     """
 
     track_dist = True   # read by perfbench's tracer to name the update span
@@ -293,7 +289,7 @@ class CenterIndex:
         self.cells = {i: {} for i in self.hashes}     # level -> cell -> set
         self.gammas = tuple(gammas)
         self.centers = {}      # center -> CenterRecord
-        self.staged = {}       # center -> StagedRecord, in staging order
+        self.staged = {}       # center -> level -> cell, in staging order
         self.overlay = {i: {} for i in self.hashes}   # level -> cell -> set
         self.listen = {i: {} for i in self.hashes}
         self.events = []       # (center, gamma, new_bit)
@@ -313,7 +309,7 @@ class CenterIndex:
         for s, z in cells.items():
             rec = self.centers.get(s)
             if rec is None:
-                self.staged[s].cells[i] = z
+                self.staged[s][i] = z
                 self.overlay[i].setdefault(z, set()).add(s)
             else:
                 rec.cells[i] = z
@@ -325,8 +321,10 @@ class CenterIndex:
             for c in fp:
                 self.listen[i].setdefault(c, set()).add(s)
         for s, rec in self.centers.items():
+            had = rec.counts[i] > 0
             rec.counts[i] = self._count(s, i)
-            self._set_bit(s, i, rec.counts[i] > 0)
+            if had != (rec.counts[i] > 0):
+                self._crossed(s, i)
 
     # -- scale bits and indicator thresholds ------------------------------
 
@@ -348,28 +346,35 @@ class CenterIndex:
                 return True
         return False
 
-    def _set_bit(self, s, i, val: bool):
+    def _crossed(self, s, i):
+        """Hook for s's level-i count crossing zero: keeps `ell` the lowest
+        level with a nonzero count and reports the flips a move makes."""
         rec = self.centers[s]
-        b = rec.bits
-        if bool(b[i]) == val:
+        old = rec.ell
+        counts = rec.counts
+        if counts[i] and (old is None or i < old):
+            rec.ell = i
+        elif not counts[i] and old == i:
+            rec.ell = next((j for j in range(i + 1, self.L + 1) if counts[j]),
+                           None)
+        else:
             return
-        b[i] = 1 if val else 0
-        old_ell = rec.ell
-        if val:
-            if old_ell is None or i < old_ell:
-                rec.ell = i
-        elif old_ell == i:
-            nxt = None
-            for j in range(i + 1, self.L + 1):
-                if b[j]:
-                    nxt = j
-                    break
-            rec.ell = nxt
-        if rec.ell != old_ell:
-            self._refresh_indicators(s)
+        self._report_flips(s, old, rec.ell)
 
     def _bound(self, e) -> float:
         return INF if e is None else 3.0 * self.params.gamma * (1 << e)
+
+    def _indicators(self, e):
+        """Indicator bit per gamma at ell = e: the bound is <= 6*gamma*g."""
+        d = self._bound(e)
+        thresh = 6.0 * self.params.gamma
+        return [d <= thresh * g for g in self.gammas]
+
+    def _report_flips(self, s, old, new):
+        for g, was, now in zip(self.gammas, self._indicators(old),
+                               self._indicators(new)):
+            if was != now:
+                self.events.append((s, g, int(now)))
 
     def _staged_low(self, s, top):
         """Lowest level below `top` where a staged center's cell lies in the
@@ -382,19 +387,6 @@ class CenterIndex:
                     return i
         return None
 
-    def _staged_ell(self, s):
-        """Lowest level where staged center s's footprint holds another
-        center, committed or staged, or None."""
-        for i, h in self.hashes.items():
-            cells, overlay = self.cells[i], self.overlay[i]
-            for c in h.ball_buckets(s, radius=float(1 << i), upto=h.top):
-                if c in cells:
-                    return i
-                members = overlay.get(c)
-                if members and (len(members) > 1 or s not in members):
-                    return i
-        return None
-
     def dhat(self, s) -> float:
         """Maintained bound with dist <= dhat <= 6*gamma*dist; inf if |S|<2.
         Staged centers count as members of S."""
@@ -402,7 +394,7 @@ class CenterIndex:
         if rec is None:
             if s not in self.staged:
                 raise UsageError(f"unknown center {s!r}")
-            return self._bound(self._staged_ell(s))
+            return self._bound(self._walk(s)[0])
         e = rec.ell
         if self.staged:
             low = self._staged_low(s, self.L + 1 if e is None else e)
@@ -410,26 +402,13 @@ class CenterIndex:
                 e = low
         return self._bound(e)
 
-    def _refresh_indicators(self, s):
-        if not self.gammas:
-            return
-        rec = self.centers[s]
-        d = self._bound(rec.ell)
-        thresh = 6.0 * self.params.gamma
-        row = rec.ind_bits
-        for gi, g in enumerate(self.gammas):
-            val = 1 if d <= thresh * g else 0
-            if row[gi] != val:
-                row[gi] = val
-                self.events.append((s, g, val))
-
     def drain_events(self):
         out = self.events
         self.events = []
         return out
 
     def indicator_bit(self, s, gamma_index: int) -> int:
-        return self.centers[s].ind_bits[gamma_index]
+        return int(self._indicators(self.centers[s].ell)[gamma_index])
 
     # -- updates -----------------------------------------------------------
 
@@ -440,8 +419,7 @@ class CenterIndex:
         if s in self.centers:
             raise UsageError(f"duplicate center {s!r}")
         rec = CenterRecord(tag, {i: hash_level(self, i, s) for i in self.hashes},
-                           {}, [0] * (self.L + 1), bytearray(self.L + 1),
-                           bytearray(len(self.gammas)))
+                           {}, [0] * (self.L + 1))
         self.centers[s] = rec
         for i, z in rec.cells.items():
             self.cells[i].setdefault(z, set()).add(s)
@@ -452,8 +430,8 @@ class CenterIndex:
                 self.listen[i].setdefault(c, set()).add(s)
         for i in self.hashes:
             rec.counts[i] = self._count(s, i)
-            self._set_bit(s, i, rec.counts[i] > 0)
-        self._refresh_indicators(s)
+        rec.ell = next((i for i, n in enumerate(rec.counts) if n), None)
+        self._report_flips(s, None, rec.ell)
         # other centers listening to s's cells now see one more neighbor
         centers = self.centers
         for i, z in rec.cells.items():
@@ -462,15 +440,15 @@ class CenterIndex:
                     counts = centers[t].counts
                     counts[i] += 1
                     if counts[i] == 1:
-                        self._set_bit(t, i, True)
+                        self._crossed(t, i)
 
-    def stage(self, s, tag=None):
+    def stage(self, s):
         """Admit s as a staged center (see the class docstring)."""
         s = tuple(s)
         if s in self.centers or s in self.staged:
             raise UsageError(f"duplicate center {s!r}")
         cells = {i: hash_level(self, i, s) for i in self.hashes}
-        self.staged[s] = StagedRecord(tag, cells)
+        self.staged[s] = cells
         for i, z in cells.items():
             self.overlay[i].setdefault(z, set()).add(s)
 
@@ -480,14 +458,14 @@ class CenterIndex:
         staged = self.staged
         self.staged = {}
         self.overlay = {i: {} for i in self.hashes}
-        for s, rec in staged.items():
-            self.insert(s, rec.tag)
+        for s in staged:
+            self.insert(s)
 
     def delete(self, s):
         s = tuple(s)
         staged = self.staged.pop(s, None)
         if staged is not None:
-            for i, z in staged.cells.items():
+            for i, z in staged.items():
                 members = self.overlay[i][z]
                 members.discard(s)
                 if not members:
@@ -514,11 +492,7 @@ class CenterIndex:
                 counts = centers[t].counts
                 counts[i] -= 1
                 if not counts[i]:
-                    self._set_bit(t, i, False)
-
-    def _record(self, s):
-        rec = self.centers.get(s)
-        return self.staged[s] if rec is None else rec
+                    self._crossed(t, i)
 
     def retag(self, s, tag):
         self.centers[s].tag = tag
@@ -529,22 +503,28 @@ class CenterIndex:
                   allow_equal=False):
         """A center s != x with dist(x, s) <= 6*gamma*dist(x, S - x).
 
-        Staged centers are candidates too. tag restricts candidates to one
-        tag class; exclude hides centers without structural changes. Returns
-        None when no candidate exists. max_dist stops the level scan once
-        every candidate provably lies farther than max_dist (callers that
-        only care about near hits). allow_equal admits a center sitting
-        exactly at x (contamination scans probe from data points, where the
-        coincident center counts).
+        Staged centers are candidates too, in the untagged class. tag
+        restricts candidates to one tag class; exclude hides centers without
+        structural changes. Returns None when no candidate exists. max_dist
+        stops the level scan once every candidate provably lies farther than
+        max_dist (callers that only care about near hits). allow_equal admits
+        a center sitting exactly at x (contamination scans probe from data
+        points, where the coincident center counts).
         """
-        x = tuple(x)
-        best = None
+        return self._walk(tuple(x), tag, exclude, max_dist, allow_equal)[1]
+
+    def _walk(self, x, tag=None, exclude=frozenset(), max_dist=None,
+              allow_equal=False):
+        """The ANN level walk: (lowest level with a candidate, the smallest
+        candidate there), or (None, None)."""
+        centers = self.centers
         for i in range(0, self.L + 1):
             if max_dist is not None and i > 0 and float(1 << (i - 1)) > max_dist:
-                return None
+                return None, None
             h = self.hashes[i]
             values = h.ball_buckets(x, radius=float(1 << i), upto=h.top)
             cells, overlay = self.cells[i], self.overlay[i]
+            best = None
             for z in values:
                 members = cells.get(z)
                 if overlay:
@@ -556,10 +536,12 @@ class CenterIndex:
                 for s in members:
                     if (s == x and not allow_equal) or s in exclude:
                         continue
-                    if tag is not None and self._record(s).tag != tag:
-                        continue
+                    if tag is not None:
+                        rec = centers.get(s)
+                        if rec is None or rec.tag != tag:
+                            continue
                     if best is None or s < best:
                         best = s
             if best is not None:
-                return best
-        return best
+                return i, best
+        return None, None

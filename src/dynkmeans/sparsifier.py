@@ -247,10 +247,12 @@ class SparsifiedRunner:
 
     def update(self, op: str, key, point=None, weight=1.0) -> int:
         """Apply one input update; returns the number of primary resets.
-        Bad input changes nothing: the point and weight are checked here and
-        the key by the sparsifier, before either changes state."""
+        Bad input changes nothing: the point (d coordinates on the grid) and
+        weight are checked here and the key by the sparsifier, before either
+        changes state."""
         if op == "insert":
-            check_weighted_point(point, weight, self.params.d)
+            check_weighted_point(point, weight, self.params.d,
+                                 self.params.delta)
             deltas = self.sparsifier.insert(key, point, weight)
         elif op == "delete":
             deltas = self.sparsifier.delete(key)

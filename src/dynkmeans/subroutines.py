@@ -211,13 +211,14 @@ class ClusterContext:
         self.assign.center_insert(s)
         self.cent.insert(s, tag=tag)
 
-    def center_stage(self, s, tag=None):
+    def center_stage(self, s):
         """A scratch center: in the assignment structure at once, where
-        distance-squared sampling reads it, and staged in `cent` until its
-        caller runs `cent.commit()`. center_remove drops it either way."""
+        distance-squared sampling reads it, and staged, untagged, in `cent`
+        until its caller runs `cent.commit()`. center_remove drops it either
+        way."""
         s = tuple(s)
         self.assign.center_insert(s)
-        self.cent.stage(s, tag=tag)
+        self.cent.stage(s)
 
     def center_remove(self, s):
         s = tuple(s)

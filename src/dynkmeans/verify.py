@@ -153,11 +153,14 @@ def check_ann(rng, params, steps, seed_tag):
 
 
 def audit_neighbor_counts(ci: CenterIndex) -> int:
-    """Count and bit audit of a CenterIndex: every maintained neighbor count
-    must equal a from-scratch count of the other centers whose cell lies in
-    the footprint, and every neighbor bit must equal the index's own probe.
-    Returns the number of (center, level) pairs that disagree."""
+    """Count and `ell` audit of a CenterIndex: every maintained neighbor
+    count must equal a from-scratch count of the other centers whose cell
+    lies in the footprint, every neighbor bit (count > 0) must equal the
+    index's own probe, and every `ell` must be the lowest level whose probe
+    holds, or None. Returns the number of (center, level) pairs and of
+    centers that disagree."""
     bad = 0
+    low = {}                # center -> lowest level whose probe holds
     for i in ci.hashes:
         at = {}
         for rec in ci.centers.values():
@@ -165,9 +168,12 @@ def audit_neighbor_counts(ci: CenterIndex) -> int:
         for s, rec in ci.centers.items():
             fp = rec.footprints[i]
             want = sum(at.get(c, 0) for c in fp) - (rec.cells[i] in fp)
-            if rec.counts[i] != want or bool(rec.bits[i]) != ci._probe_bit(s, i):
+            probe = ci._probe_bit(s, i)
+            if rec.counts[i] != want or (rec.counts[i] > 0) != probe:
                 bad += 1
-    return bad
+            if probe:
+                low.setdefault(s, i)
+    return bad + sum(rec.ell != low.get(s) for s, rec in ci.centers.items())
 
 
 def check_indicators(rng, params, gammas, steps, seed_tag):
@@ -176,7 +182,7 @@ def check_indicators(rng, params, gammas, steps, seed_tag):
     (inf when alone): dhat(s) lies in [d, 6*gamma*d]; every reported flip
     changed its bit and no change went unreported; indicator i is 1 when
     d <= gammas[i] and 0 when d > 6*gamma*gammas[i]; and the neighbor counts
-    and bits pass `audit_neighbor_counts`. Returns (indicator and count
+    and `ell` pass `audit_neighbor_counts`. Returns (indicator and count
     violations, dhat violations)."""
     ci = CenterIndex(params, seed_tag, gammas=gammas)
     S = set()
@@ -563,7 +569,7 @@ def verify_sparsifier(seed=0):
             f"max_burst={burst}"),
            ("sparsifier.size_bound", size_bad == 0,
             f"violations: {size_bad} |U|={runner.u_size()}")]
-    runner.primary.force_solution = frozenset({(1, 1)})  # fault injection
+    runner.primary.solution = lambda: frozenset({(1, 1)})  # fault injection
     resets = runner.update("insert", 999999, (128, 128), 1.0)
     out.append(("sparsifier.fault_reset", resets >= 1, f"resets={resets}"))
     return out

@@ -86,6 +86,23 @@ def test_bad_point_rejected_before_any_state_change(point):
     assert 9 in dk.X
 
 
+@pytest.mark.parametrize("point", [(0, 0), (-5, 3), (1.5, 2.25), (257, 30)])
+def test_off_grid_point_rejected_before_any_state_change(point):
+    dk = DynamicKMeans(P, 3)
+    for i, p in enumerate([(10, 10), (50, 50), (100, 100), (200, 200)]):
+        dk.update("insert", i, p, 1.0)
+    rng_state = dk.rng.getstate()
+    sol = dk.solution()
+    with pytest.raises(UsageError, match="integers in"):
+        dk.update("insert", 9, point, 1.0)
+    assert not dk.epoch_live
+    assert dk.rng.getstate() == rng_state
+    assert dk.solution() == sol
+    assert 9 not in dk.X and 9 not in dk.assign.points
+    assert len(dk.ball1m) == 4
+    assert dk.assign.audit_partition() == []
+
+
 def test_lazy_rules_in_long_epoch():
     # uniform data keeps removals cheap, so epochs stretch past one update
     k = 16

@@ -116,6 +116,24 @@ def test_malformed_stream_is_usage_error(name, tmp_path, capsys):
     assert err.startswith("usage error: ") and "Traceback" not in err
 
 
+def test_run_off_grid_delta_is_usage_error(tmp_path, capsys):
+    # the stream's points lie in [1, 256]; --delta 16 leaves most off the grid
+    path = tmp_path / "s.txt"
+    path.write_text(gen_workload("clustered", 40, 2, 256, 3, seed=2).serialize())
+    assert cli.main(["run", str(path), "--delta", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "integers in" in err
+
+
+def test_run_has_no_d_option(tmp_path):
+    # a stream fixes its own d; --d is not read as an abbreviation of --delta
+    path = tmp_path / "s.txt"
+    path.write_text(gen_workload("clustered", 20, 2, 64, 2, seed=1).serialize())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(path), "--d", "2"])
+    assert exc.value.code == 2
+
+
 def test_overflowing_schedule_is_usage_error(tmp_path, capsys):
     # paper_faithful at epsilon=0.1 needs lam**44 with lam ~ 8.5e7
     cfg = tmp_path / "c.cfg"

@@ -68,8 +68,8 @@ def _centers(level=None):
 def _centers_state(ci):
     assert audit_neighbor_counts(ci) == 0
     return ([ci.ann_query(x) for x in PROBES],
-            sorted((s, ci.dhat(s), bytes(rec.bits), list(rec.counts),
-                    sorted(rec.cells.items()))
+            sorted((s, ci.dhat(s), bytes(n > 0 for n in rec.counts),
+                    list(rec.counts), sorted(rec.cells.items()))
                    for s, rec in ci.centers.items()))
 
 

@@ -368,8 +368,9 @@ def _index_state(ci):
     """The committed state of a CenterIndex, which staging must reproduce."""
     centers = {s: (rec.tag, dict(rec.cells),
                    {i: set(fp) for i, fp in rec.footprints.items()},
-                   list(rec.counts), bytes(rec.bits), rec.ell,
-                   bytes(rec.ind_bits))
+                   list(rec.counts), bytes(n > 0 for n in rec.counts),
+                   rec.ell,
+                   [ci.indicator_bit(s, gi) for gi in range(len(ci.gammas))])
                for s, rec in ci.centers.items()}
     hashes = {i: (h.attempt, h.top) for i, h in ci.hashes.items()}
     return centers, ci.cells, ci.listen, hashes
@@ -417,8 +418,8 @@ def test_staging_matches_eager_insertion(d, delta):
                 _force_color_1(ci.hashes[widen_level], s)
             if j == 7:                  # s's evaluation resamples the level
                 _stub(ci.hashes[nocolor_level], fail_always=False)
-        staged.stage(s, tag=tags[s])
-        eager.insert(s, tag=tags[s])
+        staged.stage(s)
+        eager.insert(s)
     assert staged.hashes[widen_level].top == 1
     assert staged.nocolor_events == eager.nocolor_events == 1
     assert staged.centers.keys() == set(committed)

@@ -132,6 +132,9 @@ def _runner_state(runner):
     ("insert", 100, (30,), 1.0),
     ("insert", 3, (30, 30), 1.0),       # duplicate id
     ("delete", 100, None, 1.0),         # unknown id
+    ("insert", 100, (0, 30), 1.0),      # off the grid [1, 256]^2
+    ("insert", 100, (30, 257), 1.0),
+    ("insert", 100, (30, 2.5), 1.0),
 ])
 def test_runner_rejects_bad_input_before_any_state_change(op, key, point,
                                                           weight):
@@ -192,7 +195,7 @@ def test_runner_fault_injection_resets():
     stream = gen_workload("clustered", 150, 2, 256, 4, ins_frac=1.0, seed=5)
     for op, key, point, w in stream.ops():
         runner.update(op, key, point, w)
-    runner.primary.force_solution = frozenset({(1, 1)})
+    runner.primary.solution = lambda: frozenset({(1, 1)})
     resets = runner.update("insert", 10 ** 6, (200, 200), 1.0)
     assert resets >= 1
     assert runner.contract_holds()
