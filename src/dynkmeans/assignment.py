@@ -36,7 +36,7 @@ class AssignmentStructure:
 
         self.points = {}        # id -> (point, weight, cells list)
         self.point_w = {}       # point -> total weight of ids there
-        self.X_pre = {}         # (i, z) -> set of ids
+        self.X_pre = {}         # (i, z) -> set of ids, for i < m (_repair_f)
         self.low = {}           # (i, z, z1) -> [ids dict, w_L]
         self.S_close = {}       # (i, z) -> set of centers
         self.f = {}             # (i, z) -> set of z1 (level i-1 cells)
@@ -152,7 +152,7 @@ class AssignmentStructure:
         self.point_w[p] = self.point_w.get(p, 0.0) + w
         if p in self.centers:
             self.w_S[p] += w
-        for i in range(self.m + 1):
+        for i in range(self.m):
             self.X_pre.setdefault((i, cells[i]), set()).add(key)
         for i in range(1, self.m + 1):
             lk = (i, cells[i], cells[i - 1])
@@ -181,7 +181,7 @@ class AssignmentStructure:
             del self.point_w[p]
         if p in self.centers:
             self.w_S[p] -= w
-        for i in range(self.m + 1):
+        for i in range(self.m):
             pre = self.X_pre[(i, cells[i])]
             pre.discard(key)
             if not pre:

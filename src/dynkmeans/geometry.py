@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Iterable
 
 import numpy as np
@@ -22,16 +23,23 @@ _COMBO_GUARD = 10 ** 6
 
 def check_weighted_point(point, weight, d: int, delta: int | None = None):
     """UsageError unless point has d coordinates and weight is finite and
-    >= 0; given delta, also unless point lies on the grid [1, delta]^d.
-    Entry points run it before they change any state."""
+    >= 0; given delta, also unless point lies on the grid [1, delta]^d, each
+    coordinate an integer (numbers.Integral, not bool). Entry points run it
+    before they change any state."""
     if not (math.isfinite(weight) and weight >= 0):
         raise UsageError(f"weight must be finite and >= 0, got {weight!r}")
     if point is None or len(point) != d:
         raise UsageError(f"point must have {d} coordinates, got {point!r}")
-    if delta is not None and not all(1 <= v <= delta and v == int(v)
-                                     for v in point):
+    if delta is not None and not all(isinstance(v, numbers.Integral)
+                                     and not isinstance(v, bool)
+                                     and 1 <= v <= delta for v in point):
         raise UsageError(f"point coordinates must be integers in "
                          f"[1, {delta}], got {point!r}")
+
+
+def pairwise_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """len(a) x len(b) matrix of squared distances between rows."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def dist2(p: GridPoint, q: GridPoint) -> float:
@@ -137,7 +145,7 @@ class WeightedSet:
         weights, is bitwise equal to `cost` of that subset."""
         pts, _ = self.arrays()
         c = np.asarray(centers, dtype=np.float64).reshape(-1, self.d)
-        return ((pts[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+        return pairwise_d2(pts, c)
 
     def cost(self, centers) -> float:
         """Exact cost(X, S) = sum_x w(x) * dist(x, S)^2."""

@@ -4,16 +4,18 @@ One hashed level per dyadic radius bracket: a query with radius r in
 [2^(i-1), 2^i) runs the capped bucket enumeration at radius r on the level
 whose hash has rho = gamma * 2^i. The returned buckets are disjoint, cover
 ball(x, r), and stay inside ball(x, 3*gamma*r). Queries with r < 1 read
-level 0, the exact coordinate level (grid points at distance < 1 coincide).
+level 0, the exact coordinate level (grid points at distance < 1 coincide);
+radii of 2^L and more read the top level, whose ball covers the grid.
 
-BallOneMeans keeps exact moment summaries per bucket and answers 1-means
-estimates over approximate balls. CenterIndex keeps the centers under its own
-dyadic levels and answers the ANN oracle, the per-scale neighbor bits, the
-maintained distance upper bounds, and the threshold indicators with flip
-reporting. A neighbor bit is a maintained neighbor count > 0: the count of
-other centers in the cells of the center's footprint, adjusted by one at each
-listener when a center is inserted or deleted. Scratch centers can be staged:
-hashed and answered for, but kept out of the counts until they are committed.
+BallOneMeans keeps exact moment summaries per bucket, each level built on its
+first query, and answers 1-means estimates over approximate balls.
+CenterIndex keeps the centers under its own dyadic levels and answers the ANN
+oracle, the per-scale neighbor bits, the maintained distance upper bounds,
+and the threshold indicators with flip reporting. A neighbor bit is a
+maintained neighbor count > 0: the count of other centers in the cells of the
+center's footprint, adjusted by one at each listener when a center is
+inserted or deleted. Scratch centers can be staged: hashed and answered for
+(dhat through the ANN walk), but kept out of the counts until committed.
 """
 
 from __future__ import annotations
@@ -114,12 +116,14 @@ class BallAnswer:
 class BallOneMeans:
     """1-means estimation over approximate balls, via exact bucket moments.
 
-    Every point is routed to one bucket per level, each bucket carrying the
-    exact weighted moments of its members; disjoint buckets make merges
+    Every point is routed to one bucket per built level, each bucket carrying
+    the exact weighted moments of its members; disjoint buckets make merges
     exact. Level 0 is the exact coordinate level, one bucket per distinct
-    point; levels 1..max_level are hashed. The hash family is sampled at
-    construction (so results do not depend on query order), but a hashed
-    level's buckets materialize on first query.
+    point; levels 1..max_level are hashed, and level max_level = L+1 answers
+    every radius of 2^L or more with a ball that covers the grid. The hash
+    families are sampled at construction (so results do not depend on query
+    order), but every level, level 0 included, is built from the registry on
+    its first query. Until then a point update only writes the registry.
     """
 
     def __init__(self, params: Params, seed_tag):
@@ -130,9 +134,8 @@ class BallOneMeans:
                               seed_tag=(seed_tag, "lvl", i))
             for i in range(1, self.max_level + 1)
         }
-        self.buckets = {0: {}}          # level -> cell -> (ids, summary)
+        self.buckets = {}               # level -> cell -> (ids, summary)
         self.registry = {}              # id -> (point, weight, cells per level)
-        self.global_summary = MomentSummary(params.d)
         self.nocolor_events = 0
 
     def __len__(self):
@@ -153,7 +156,7 @@ class BallOneMeans:
             return
         cells = {}
         for key, (p, _, _) in self.registry.items():
-            z = hash_level(self, i, p)
+            z = hash_level(self, i, p) if i else p
             if i in self.buckets:       # a NoColor recovery built the level
                 return
             cells[key] = z
@@ -182,7 +185,6 @@ class BallOneMeans:
         self.registry[key] = (p, w, cells)
         for i, z in cells.items():
             self._bucket_add(i, z, key, p, w)
-        self.global_summary.add(p, w)
 
     def delete(self, key):
         if key not in self.registry:
@@ -190,7 +192,6 @@ class BallOneMeans:
         p, w, cells = self.registry.pop(key)
         for i, z in cells.items():
             self._bucket_remove(i, z, key, p, w)
-        self.global_summary.remove(p, w)
 
     def query(self, x, r: float, witness: bool = False) -> BallAnswer:
         """Merged moments of the nonempty buckets covering ball(x, r).
@@ -199,28 +200,23 @@ class BallOneMeans:
         """
         if r < 0:
             raise UsageError("negative radius")
+        i = 0 if r < 1.0 else level_for_radius(r, self.max_level)
+        self._materialize(i)            # may raise the level's color bound
+        if i:
+            h = self.hashes[i]
+            values = h.ball_buckets(x, radius=min(r, float(1 << i)),
+                                    upto=h.top)
+        else:
+            values = (tuple(x),)
         merged = MomentSummary(self.params.d)
         ids = []
-        if r >= self.params.aspect:
-            merged.merge(self.global_summary)
-            if witness:
-                ids.extend(self.registry)
-        else:
-            if r < 1.0:
-                i, values = 0, (tuple(x),)
-            else:
-                i = level_for_radius(r, self.max_level)
-                self._materialize(i)
-                h = self.hashes[i]
-                values = h.ball_buckets(x, radius=min(r, float(1 << i)),
-                                        upto=h.top)
-            level = self.buckets[i]
-            for z in values:
-                b = level.get(z)
-                if b is not None:
-                    merged.merge(b[1])
-                    if witness:
-                        ids.extend(b[0])
+        level = self.buckets[i]
+        for z in values:
+            b = level.get(z)
+            if b is not None:
+                merged.merge(b[1])
+                if witness:
+                    ids.extend(b[0])
         wit = frozenset(ids) if witness else None
         if merged.n == 0:
             return BallAnswer(0.0, tuple(x), 0.0, 0.0, wit)
@@ -262,18 +258,18 @@ class CenterIndex:
     NoColor resamples see it, but it is recorded only in a per-level overlay
     of cells (`overlay`) and as its level -> cell map in `staged`. It has no
     tag and enters no listener set and no neighbor count. Every answer is the
-    one an untagged insert would give: a staged center's dhat is read from
-    the level where the ANN walk from it first finds another center,
-    committed or staged; a committed center's dhat is the lower of its
-    maintained `ell` and the lowest level where a staged center's cell lies
-    in its footprint (read from the listener sets); and ann_query reads the
-    overlay too. `delete` of a staged center only drops it from the overlay;
-    `commit` inserts every staged center for real, in staging order, and
-    `insert` refuses while any center is staged. The committed state (cells,
-    counts, `ell`) is a function of the committed membership, so it equals
-    the state eager inserts and deletes would leave. The event log covers
-    committed centers only: it holds no flip made and undone by a center
-    that never left staging.
+    one an untagged insert would give: while anything is staged, every
+    center's dhat is read from the level where the ANN walk from it first
+    finds another center, committed or staged (the walk enumerates the same
+    buckets as the stored footprints, so for a committed center that level
+    is the lower of `ell` and the first level where a staged cell lies in its
+    footprint); and ann_query reads the overlay too. `delete` of a staged
+    center only drops it from the overlay; `commit` inserts every staged
+    center for real, in staging order, and `insert` refuses while any center
+    is staged. The committed state (cells, counts, `ell`) is a function of
+    the committed membership, so it equals the state eager inserts and
+    deletes would leave. The event log covers committed centers only: it
+    holds no flip made and undone by a center that never left staging.
     """
 
     track_dist = True   # read by perfbench's tracer to name the update span
@@ -376,31 +372,15 @@ class CenterIndex:
             if was != now:
                 self.events.append((s, g, int(now)))
 
-    def _staged_low(self, s, top):
-        """Lowest level below `top` where a staged center's cell lies in the
-        footprint of committed center s, or None."""
-        for i in range(top):
-            listen = self.listen[i]
-            for z in self.overlay[i]:
-                lst = listen.get(z)
-                if lst is not None and s in lst:
-                    return i
-        return None
-
     def dhat(self, s) -> float:
         """Maintained bound with dist <= dhat <= 6*gamma*dist; inf if |S|<2.
-        Staged centers count as members of S."""
-        rec = self.centers.get(s)
-        if rec is None:
-            if s not in self.staged:
-                raise UsageError(f"unknown center {s!r}")
-            return self._bound(self._walk(s)[0])
-        e = rec.ell
+        Staged centers count as members of S: while any is staged, the bound
+        is read from the ANN walk, otherwise from `ell`."""
+        if s not in self.centers and s not in self.staged:
+            raise UsageError(f"unknown center {s!r}")
         if self.staged:
-            low = self._staged_low(s, self.L + 1 if e is None else e)
-            if low is not None:
-                e = low
-        return self._bound(e)
+            return self._bound(self._walk(s)[0])
+        return self._bound(self.centers[s].ell)
 
     def drain_events(self):
         out = self.events

@@ -20,7 +20,7 @@ import numpy as np
 
 from .controller import DynamicKMeans
 from .errors import UsageError
-from .geometry import WeightedSet, check_weighted_point
+from .geometry import WeightedSet, check_weighted_point, pairwise_d2
 from .params import Params
 from .rng import make_np_rng
 from .subroutines import weighted_kmeanspp
@@ -40,7 +40,7 @@ def sensitivity_sample(items, k: int, target: int, np_rng):
     w = np.asarray([wv for _, _, wv in items], dtype=np.float64)
     seeds = weighted_kmeanspp(pts, w, min(k, n), np_rng)
     centers = pts[seeds]
-    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = pairwise_d2(pts, centers)
     assign = d2.argmin(axis=1)
     best = d2[np.arange(n), assign]
     total = float(np.dot(w, best))
@@ -208,6 +208,8 @@ class SparsifiedRunner:
         self.alpha = alpha
         if verifiers is None:
             verifiers = max(2, min(8, math.ceil(math.log2(max(n_hint, 4)))))
+        if verifiers < 1:
+            raise UsageError(f"verifiers must be >= 1, got {verifiers!r}")
         self.sparsifier = MergeReduceSparsifier(params, k, n_hint)
         self.U = WeightedSet(params.d)
         self.primary = DynamicKMeans(params, k, seed_tag=("primary", 0))

@@ -17,14 +17,11 @@ import numpy as np
 
 from .assignment import AssignmentStructure
 from .errors import NoMassError, UsageError
+from .geometry import pairwise_d2
 from .params import Params
 from .range_query import CenterIndex
 
 _EXHAUSTIVE_LIMIT = 128   # below this support size, scan all swap candidates
-
-
-def _pairwise_d2(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng,
@@ -33,7 +30,7 @@ def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng,
 
     The sampled mass is kept as a running minimum over the rows w * d2(., c)
     of the chosen centers; for w >= 0 that is bitwise w times the running
-    minimum distance. D, when given, is _pairwise_d2(pts, pts), whose rows
+    minimum distance. D, when given, is pairwise_d2(pts, pts), whose rows
     replace the per-center distance computation."""
     n = pts.shape[0]
     if D is None:
@@ -127,12 +124,12 @@ def static_weighted_kmeans(points, weights, k: int, rng):
     if exhaustive:
         # (a-b)^2 == (b-a)^2, so D is symmetric and each row is bitwise the
         # per-center distance vector
-        D = _pairwise_d2(pts, pts)
+        D = pairwise_d2(pts, pts)
         chosen = weighted_kmeanspp(pts, w, k, rng, D)
         d2 = D[:, chosen]
     else:
         chosen = weighted_kmeanspp(pts, w, k, rng)
-        d2 = _pairwise_d2(pts, pts[chosen])
+        d2 = pairwise_d2(pts, pts[chosen])
 
     def refresh():
         assign = d2.argmin(axis=1)

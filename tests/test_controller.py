@@ -86,7 +86,8 @@ def test_bad_point_rejected_before_any_state_change(point):
     assert 9 in dk.X
 
 
-@pytest.mark.parametrize("point", [(0, 0), (-5, 3), (1.5, 2.25), (257, 30)])
+@pytest.mark.parametrize("point", [(0, 0), (-5, 3), (1.5, 2.25), (257, 30),
+                                   (2.0, 3.0), (True, 5)])
 def test_off_grid_point_rejected_before_any_state_change(point):
     dk = DynamicKMeans(P, 3)
     for i, p in enumerate([(10, 10), (50, 50), (100, 100), (200, 200)]):

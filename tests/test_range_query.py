@@ -22,13 +22,24 @@ def test_level_brackets():
 
 def test_insert_delete_inverse():
     idx = BallOneMeans(P, "t")
-    idx.query((1, 1), 4.0)  # materialize a level
+    idx.query((1, 1), 0.5)  # materialize the exact level
+    idx.query((1, 1), 4.0)  # and a hashed one
     idx.insert("a", (3, 3), 1.0)
     idx.delete("a")
     assert len(idx) == 0
     assert set(idx.buckets) == {0, level_for_radius(4.0, idx.max_level)}
     assert all(not b for b in idx.buckets.values())  # the exact level too
-    assert idx.global_summary.n == 0
+
+
+def test_updates_before_first_query_build_no_level():
+    idx = BallOneMeans(P, "t")
+    rng = make_rng(11, "lazy")
+    for i in range(40):
+        idx.insert(i, (rng.randint(1, 64), rng.randint(1, 64)), 1.0)
+    for i in range(0, 40, 3):
+        idx.delete(i)
+    assert idx.buckets == {}
+    assert all(not cells for _, _, cells in idx.registry.values())
 
 
 def test_duplicate_and_missing_ids():
@@ -42,6 +53,7 @@ def test_duplicate_and_missing_ids():
 
 def test_partition_counts_per_level():
     idx = BallOneMeans(P, "t")
+    idx.query((1, 1), 0.5)
     idx.query((1, 1), 2.0)
     idx.query((1, 1), 10.0)
     rng = make_rng(4, "rq")
@@ -319,6 +331,36 @@ def test_ball_one_means_witness_checks():
             assert ans.cost_c_star <= 4 * opt1 + 1e-6
 
 
+@pytest.mark.parametrize("d,delta", [(1, 64), (2, 256), (3, 32), (8, 1024)])
+def test_ball_one_means_grid_radius_reads_every_point(d, delta):
+    # radii of aspect and more read a level whose ball covers the grid: the
+    # answer holds every live id, their exact weight and rounded centroid
+    p = Params(epsilon=0.5, d=d, delta=delta, seed=24)
+    bm = BallOneMeans(p, "grid")
+    rng = make_rng(d, "grid")
+    pts = {}
+    for i in range(60):
+        pts[i] = (tuple(rng.randint(1, delta) for _ in range(d)),
+                  rng.choice((0.5, 1.0, 2.0)))
+        bm.insert(i, *pts[i])
+    for i in range(0, 60, 4):
+        bm.delete(i)
+        del pts[i]
+    total = sum(w for _, w in pts.values())
+    centroid = tuple(
+        min(max(math.floor(sum(w * q[j] for q, w in pts.values()) / total
+                           + 0.5), 1), delta)
+        for j in range(d))
+    probes = [(1,) * d, (delta,) * d, pts[1][0]]
+    for r in (p.aspect, float(1 << p.dyadic_levels), 10 * p.aspect):
+        for x in probes:
+            ans = bm.query(x, r, witness=True)
+            assert ans.witness == set(pts)
+            assert ans.b == total
+            assert ans.c_star == centroid
+    assert bm.nocolor_events == 0
+
+
 def test_ball_one_means_b_monotone_within_level():
     bm = BallOneMeans(P, "b1m")
     rng = make_rng(10, "mono")
@@ -452,3 +494,64 @@ def test_staging_matches_eager_insertion(d, delta):
     for ci in (staged, eager):
         ci.insert(fresh)
     assert _index_state(staged) == _index_state(eager)
+
+
+def _twins(p, committed, batch, tags):
+    """An index that stages `batch`, and its twin that inserts it."""
+    staged = CenterIndex(p, "stg", gammas=(1.0, 4.0, 16.0))
+    eager = CenterIndex(p, "stg", gammas=(1.0, 4.0, 16.0))
+    for ci in (staged, eager):
+        for s in committed:
+            ci.insert(s, tag=tags[s])
+    for s in batch:
+        staged.stage(s)
+        eager.insert(s)
+    return staged, eager
+
+
+@pytest.mark.parametrize("d,delta", [(1, 256), (2, 64), (3, 32), (8, 32)])
+def test_staging_matches_eager_insertion_over_the_grid(d, delta):
+    # centers spread over the whole grid, farther apart than the 2^i +
+    # gamma*2^i reach of a level-i bucket for i <= 2, so every staged and
+    # committed center finds its nearest neighbor above level 2
+    p = Params(epsilon=0.5, d=d, delta=delta, seed=23)
+    rng = make_rng(d, "spread")
+    pts = []
+    for _ in range(400):
+        q = tuple(rng.randint(1, delta) for _ in range(d))
+        if len(pts) < 8 and all(dist(q, o) > (1 + p.gamma) * 4 for o in pts):
+            pts.append(q)
+    assert len(pts) >= 4
+    committed, batch = pts[::2], pts[1::2]
+    tags = {s: rng.choice((None, 0, 1)) for s in pts}
+    staged, eager = _twins(p, committed, batch, tags)
+    assert all(staged._walk(s)[0] > 2 for s in pts)
+    live = set(pts)
+    probes = pts + [tuple(rng.randint(1, delta) for _ in range(d))
+                    for _ in range(4)]
+    seed = rng.randrange(1 << 30)
+    assert (_answers(staged, make_rng(seed, "a"), probes, live)
+            == _answers(eager, make_rng(seed, "a"), probes, live))
+    gone = [committed[0], batch[0]]
+    for ci in (staged, eager):
+        for s in gone:
+            ci.delete(s)
+    live -= set(gone)
+    assert (_answers(staged, make_rng(seed, "b"), probes, live)
+            == _answers(eager, make_rng(seed, "b"), probes, live))
+    staged.commit()
+    assert _index_state(staged) == _index_state(eager)
+
+
+def test_staged_center_alone_has_no_neighbor():
+    staged, eager = _twins(P, [], [(9, 9)], {})
+    for ci in (staged, eager):
+        assert math.isinf(ci.dhat((9, 9)))
+        assert ci.ann_query((9, 9)) is None
+    staged.stage((60, 50))
+    eager.insert((60, 50))
+    for s in ((9, 9), (60, 50)):
+        assert staged.dhat(s) == eager.dhat(s) < math.inf
+    for ci in (staged, eager):
+        ci.delete((60, 50))
+        assert math.isinf(ci.dhat((9, 9)))

@@ -135,6 +135,8 @@ def _runner_state(runner):
     ("insert", 100, (0, 30), 1.0),      # off the grid [1, 256]^2
     ("insert", 100, (30, 257), 1.0),
     ("insert", 100, (30, 2.5), 1.0),
+    ("insert", 100, (2.0, 3.0), 1.0),   # integral values, not integers
+    ("insert", 100, (True, 5), 1.0),
 ])
 def test_runner_rejects_bad_input_before_any_state_change(op, key, point,
                                                           weight):
@@ -150,6 +152,12 @@ def test_runner_rejects_bad_input_before_any_state_change(op, key, point,
     assert runner.contract_holds()
     runner.update("delete", 100)
     assert runner.contract_holds()
+
+
+@pytest.mark.parametrize("verifiers", [0, -1])
+def test_runner_needs_a_verifier(verifiers):
+    with pytest.raises(UsageError, match="verifiers"):
+        SparsifiedRunner(P, k=3, n_hint=64, verifiers=verifiers)
 
 
 def test_runner_small_x_equals_solution():

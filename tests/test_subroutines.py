@@ -6,11 +6,11 @@ import pytest
 
 from dynkmeans.errors import UsageError
 from dynkmeans.geometry import (brute_opt_augmented, brute_opt_restricted,
-                                cost, dist)
+                                cost, dist, pairwise_d2)
 from dynkmeans.params import Params
 from dynkmeans.rng import make_rng
 from dynkmeans.subroutines import (_EXHAUSTIVE_LIMIT, ClusterContext,
-                                   _pairwise_d2, _swap_costs, augmented_kmeans,
+                                   _swap_costs, augmented_kmeans,
                                    restricted_kmeans, static_weighted_kmeans,
                                    weighted_kmeanspp)
 
@@ -126,7 +126,7 @@ def _oracle_static(points, weights, k, rng):
     pts = np.asarray(support, dtype=np.float64)
     w = np.asarray(agg, dtype=np.float64)
     chosen = _oracle_kmeanspp(pts, w, k, rng)
-    d2 = _pairwise_d2(pts, pts[chosen])
+    d2 = pairwise_d2(pts, pts[chosen])
 
     def refresh():
         assign = d2.argmin(axis=1)
@@ -228,7 +228,7 @@ def test_swap_costs_bitwise_per_candidate():
         w = np.asarray(ws, dtype=np.float64) + rng.random()
         n = len(pts)
         k = rng.randint(1, n)
-        D = _pairwise_d2(pts, pts)
+        D = pairwise_d2(pts, pts)
         d2 = D[:, rng.sample(range(n), k)]
         assign = d2.argmin(axis=1)
         best1 = d2[np.arange(n), assign]
@@ -255,7 +255,7 @@ def test_kmeanspp_matches_oracle_under_numpy_generator():
         k = rng.randint(1, len(pts))
         want_g = np.random.default_rng([33, t])
         want = _oracle_kmeanspp(pts, ws, k, want_g)
-        for D in (None, _pairwise_d2(pts, pts)):
+        for D in (None, pairwise_d2(pts, pts)):
             g = np.random.default_rng([33, t])
             assert weighted_kmeanspp(pts, ws, k, g, D) == want, t
             assert g.bit_generator.state == want_g.bit_generator.state, t
