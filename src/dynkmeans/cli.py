@@ -38,11 +38,21 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def config_value(cfg: dict, key: str, cast):
+    """cfg[key] read as `cast`; a value it cannot read is a usage error that
+    names the key."""
+    try:
+        return cast(cfg[key])
+    except ValueError:
+        raise UsageError(f"config key {key}: cannot read {cfg[key]!r} as "
+                         f"{cast.__name__}") from None
+
+
 def sched_overrides_from(cfg: dict) -> dict:
     out = {}
     for key, cast in SCHED_KEYS.items():
         if f"sched.{key}" in cfg:
-            out[key] = cast(cfg[f"sched.{key}"])
+            out[key] = config_value(cfg, f"sched.{key}", cast)
     return out
 
 
@@ -50,7 +60,7 @@ def params_from(cfg: dict, args) -> Params:
     kw = {}
     for key, cast in PARAM_KEYS.items():
         if key in cfg:
-            kw[key] = cast(cfg[key])
+            kw[key] = config_value(cfg, key, cast)
     if args.seed is not None:
         kw["seed"] = args.seed
     if args.preset is not None:
@@ -112,9 +122,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
         if args.cmd == "gen":
+            seed = args.seed or (config_value(cfg, "seed", int)
+                                 if "seed" in cfg else 0)
             stream = gen_workload(args.mode, args.n, args.d, args.delta,
-                                  args.k, ins_frac=args.ins_frac,
-                                  seed=args.seed or int(cfg.get("seed", 0)),
+                                  args.k, ins_frac=args.ins_frac, seed=seed,
                                   window=args.window)
             text = stream.serialize()
             if args.out == "-":
@@ -180,10 +191,7 @@ def main(argv=None) -> int:
                 print(f"{key}={out[key]}")
             return 0
         return 2
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, OSError) as exc:   # OSError: a path it cannot use
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -214,16 +214,21 @@ class DynamicKMeans(ClusterContext):
 
     def _start_epoch(self):
         self.S_init = frozenset(self.cent.centers)
-        _, self.ell = self._estimate_ell()
+        # nothing changes the context between the estimate and the shrink,
+        # so one ordering serves the estimate's trials and the shrink
+        ordering = self.ordering()
+        _, self.ell = self._estimate_ell(ordering)
         if self.ell >= 1:
-            removed = restricted_kmeans(self, self.ell, self.rng)
+            removed = restricted_kmeans(self, self.ell, self.rng, ordering)
             self.S_out -= removed
         self.epoch_updates = 0
         self.start_counts = {}
         self.plus_order = []
         self.epoch_live = True
 
-    def _estimate_ell(self):
+    def _estimate_ell(self, ordering=None):
+        """(ell_hat, ell) for S_init. `ordering`, when given, is
+        self.ordering() of the current context."""
         s_init = self.S_init
         # one distance matrix prices every trial S_init - removed as a
         # column-masked row minimum (bitwise equal to X.cost of the set)
@@ -234,7 +239,8 @@ class DynamicKMeans(ClusterContext):
         stop = self.sched.ell_stop_factor
         limit = min(self.k, len(s_init)) - 1
         # restricted_kmeans only reads the context: one ordering serves all
-        ordering = self.ordering() if limit >= 1 else None
+        if ordering is None and limit >= 1:
+            ordering = self.ordering()
         prev = 0
         i = 0
         while True:

@@ -38,8 +38,21 @@ def check_weighted_point(point, weight, d: int, delta: int | None = None):
 
 
 def pairwise_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """len(a) x len(b) matrix of squared distances between rows."""
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    """len(a) x len(b) matrix of squared distances between rows.
+
+    The squares (a_j - b_j)^2 are accumulated one axis at a time, left to
+    right, so each pass is one array operation over the whole matrix. That
+    is bitwise the broadcast formula ((a[:, None] - b[None]) ** 2).sum(axis=2)
+    when d < 8, where numpy also adds a trailing axis left to right, and at
+    any d when every partial sum is exact, as on grid points (integer
+    coordinates, sums below 2^53). Float rows at d >= 8 may differ from that
+    formula in the last bits, since numpy then sums pairwise."""
+    t = a[:, None, 0] - b[None, :, 0]
+    out = t * t
+    for j in range(1, a.shape[1]):
+        t = a[:, None, j] - b[None, :, j]
+        out += t * t
+    return out
 
 
 def dist2(p: GridPoint, q: GridPoint) -> float:
@@ -142,10 +155,15 @@ class WeightedSet:
     def dist2_matrix(self, centers) -> np.ndarray:
         """Rows x centers matrix of squared distances, in `arrays()` row
         order. The min over any subset of its columns, dotted with the row
-        weights, is bitwise equal to `cost` of that subset."""
+        weights, is bitwise equal to `cost` of that subset.
+
+        Layout: the matrix is built centers-major and returned as its `.T`
+        view, so a row minimum (`min(axis=1)`) runs as elementwise minima
+        along the long points axis. A minimum is a selection, so its result
+        does not depend on the layout."""
         pts, _ = self.arrays()
         c = np.asarray(centers, dtype=np.float64).reshape(-1, self.d)
-        return pairwise_d2(pts, c)
+        return pairwise_d2(c, pts).T
 
     def cost(self, centers) -> float:
         """Exact cost(X, S) = sum_x w(x) * dist(x, S)^2."""

@@ -15,7 +15,8 @@ and the threshold indicators with flip reporting. A neighbor bit is a
 maintained neighbor count > 0: the count of other centers in the cells of the
 center's footprint, adjusted by one at each listener when a center is
 inserted or deleted. Scratch centers can be staged: hashed and answered for
-(dhat through the ANN walk), but kept out of the counts until committed.
+(dhat and the ANN walk read them), but kept out of the counts until
+committed.
 """
 
 from __future__ import annotations
@@ -258,12 +259,15 @@ class CenterIndex:
     NoColor resamples see it, but it is recorded only in a per-level overlay
     of cells (`overlay`) and as its level -> cell map in `staged`. It has no
     tag and enters no listener set and no neighbor count. Every answer is the
-    one an untagged insert would give: while anything is staged, every
-    center's dhat is read from the level where the ANN walk from it first
-    finds another center, committed or staged (the walk enumerates the same
-    buckets as the stored footprints, so for a committed center that level
-    is the lower of `ell` and the first level where a staged cell lies in its
-    footprint); and ann_query reads the overlay too. `delete` of a staged
+    one an untagged insert would give: while anything is staged, a center's
+    dhat is read from the level where the ANN walk from it first finds
+    another center, committed or staged; and ann_query reads the overlay
+    too. For a committed center that level comes from its record: `ell`,
+    lowered to the first level below it where a cell of its stored footprint
+    is in `overlay`. The walk enumerates the same buckets as the stored
+    footprints, and below `ell` they hold no other committed center, so the
+    record read equals the walk's level. A staged center has no record, so
+    its dhat runs the walk. `delete` of a staged
     center only drops it from the overlay; `commit` inserts every staged
     center for real, in staging order, and `insert` refuses while any center
     is staged. The committed state (cells, counts, `ell`) is a function of
@@ -374,13 +378,23 @@ class CenterIndex:
 
     def dhat(self, s) -> float:
         """Maintained bound with dist <= dhat <= 6*gamma*dist; inf if |S|<2.
-        Staged centers count as members of S: while any is staged, the bound
-        is read from the ANN walk, otherwise from `ell`."""
-        if s not in self.centers and s not in self.staged:
-            raise UsageError(f"unknown center {s!r}")
-        if self.staged:
+        Staged centers count as members of S. A committed center's bound is
+        read from its record: `ell`, or while anything is staged the first
+        level below `ell` where a cell of its stored footprint holds a
+        staged center. A staged center's bound is read from the ANN walk."""
+        rec = self.centers.get(s)
+        if rec is None:
+            if s not in self.staged:
+                raise UsageError(f"unknown center {s!r}")
             return self._bound(self._walk(s)[0])
-        return self._bound(self.centers[s].ell)
+        e = rec.ell
+        if self.staged:
+            overlay = self.overlay
+            for i in range(self.L + 1 if e is None else e):
+                if not overlay[i].keys().isdisjoint(rec.footprints[i]):
+                    e = i
+                    break
+        return self._bound(e)
 
     def drain_events(self):
         out = self.events

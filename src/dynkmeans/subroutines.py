@@ -35,15 +35,16 @@ def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng,
     n = pts.shape[0]
     if D is None:
         def wrow(c):
-            return w * ((pts - pts[c]) ** 2).sum(axis=1)
+            return w * pairwise_d2(pts[c, None], pts)[0]
     else:
         wrow = (D * w).__getitem__
-    probs = w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
+    wsum = np.add.reduce(w)
+    probs = w / wsum if wsum > 0 else np.full(n, 1.0 / n)
     first = _draw(probs, rng)
     chosen = [first]
     mass = wrow(first)
     while len(chosen) < k:
-        tot = mass.sum()
+        tot = np.add.reduce(mass)
         if tot <= 0:
             # remaining mass is zero: pick distinct leftover points
             for i in range(n):
@@ -72,14 +73,15 @@ def _swap_costs(w, rows, assign, best1, best2, k: int) -> np.ndarray:
 
     Each row's total is the same pairwise reduction as a 1-D sum, and the
     flattened bincount adds each slot's terms in point order, as a per-row
-    bincount would."""
+    bincount would. The result is built slot-major and returned as its `.T`
+    view, so a minimum over the slots runs along the candidates axis."""
     m = rows.shape[0]
     t1 = w * np.minimum(best1, rows)
     t2 = w * np.minimum(best2, rows)
     base = np.add.reduce(t1, axis=1)
-    bins = (np.arange(0, m * k, k)[:, None] + assign).ravel()
+    bins = (assign * m + np.arange(m)[:, None]).ravel()
     delta = np.bincount(bins, weights=(t2 - t1).ravel(), minlength=m * k)
-    return base[:, None] + delta.reshape(m, k)
+    return (base + delta.reshape(k, m)).T
 
 
 def _first_improving_swap(D, w, chosen, assign, best1, best2, k: int,
@@ -155,13 +157,13 @@ def static_weighted_kmeans(points, weights, k: int, rng):
             dnew = D[cand]
         else:
             mass = w * best1
-            tot = mass.sum()
+            tot = np.add.reduce(mass)
             if tot <= 0:
                 break
             cand = _draw(mass / tot, rng)
             if cand in chosen:
                 continue
-            dnew = ((pts - pts[cand]) ** 2).sum(axis=1)
+            dnew = pairwise_d2(pts[cand, None], pts)[0]
             costs = _swap_costs(w, dnew[None, :], assign, best1, best2, k)[0]
             j = int(costs.argmin())
             if float(costs[j]) >= cur * (1 - 1e-12):

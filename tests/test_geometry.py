@@ -8,7 +8,7 @@ from dynkmeans.errors import UsageError
 from dynkmeans.geometry import (WeightedSet, brute_nn, brute_opt_augmented,
                                 brute_opt_restricted, cost, dist, dist2,
                                 jl_project, make_jl_matrix, one_means_cost,
-                                opt_kmeans_exact)
+                                opt_kmeans_exact, pairwise_d2)
 from dynkmeans.rng import make_np_rng, make_rng
 
 
@@ -239,3 +239,46 @@ def test_opt_kmeans_exact_known_values():
     pw = [((1, 1), 1.0), ((1, 2), 1.0), ((9, 9), 1.0)]
     # k=2: pair {_,_} costs 0.5, singleton costs 0
     assert math.isclose(opt_kmeans_exact(pw, 2), 0.5)
+
+
+def _broadcast_d2(a, b):
+    # the formula pairwise_d2 replaced: one numpy sum over the trailing axis
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
+def test_pairwise_d2_bitwise_equals_broadcast_sum(d):
+    # below d = 8 numpy adds the trailing axis left to right, as pairwise_d2
+    # does, so any floats agree; from d = 8 on it sums pairwise, and only
+    # exact partial sums (grid points) agree
+    rng = np.random.default_rng(d)
+    for n, m in ((1, 1), (7, 3), (60, 25)):
+        if d < 8:
+            a = rng.normal(0.0, 1e3, (n, d))
+            b = rng.uniform(-1.0, 1.0, (m, d)) * 10.0 ** rng.integers(
+                -6, 6, (m, d))
+        else:
+            a = rng.integers(1, 1 << 20, (n, d)).astype(np.float64)
+            b = rng.integers(1, 1 << 20, (m, d)).astype(np.float64)
+        got, want = pairwise_d2(a, b), _broadcast_d2(a, b)
+        assert got.shape == want.shape == (n, m)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dist2_matrix_row_min_independent_of_layout(seed):
+    rng = make_rng(seed, "layout")
+    d = 1 + seed % 3
+    X = WeightedSet(d)
+    for i in range(rng.randint(1, 300)):
+        X.insert(i, tuple(rng.randint(1, 500) for _ in range(d)), 1.0)
+    S = list({tuple(rng.randint(1, 500) for _ in range(d))
+              for _ in range(rng.randint(1, 30))})
+    M = X.dist2_matrix(S)
+    C = np.ascontiguousarray(M)
+    assert M.shape == C.shape == (len(X), len(S))
+    assert M.tobytes() == C.tobytes()
+    assert M.min(axis=1).tobytes() == C.min(axis=1).tobytes()
+    keep = [j for j in range(len(S)) if rng.random() < 0.6] or [0]
+    assert (M[:, keep].min(axis=1).tobytes()
+            == C[:, keep].min(axis=1).tobytes())

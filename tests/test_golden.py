@@ -10,12 +10,15 @@ Named cases are regenerated; with no names, every case is.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from dynkmeans import controller
 from dynkmeans.harness import run_stream
 from dynkmeans.params import Params
+from dynkmeans.range_query import CenterIndex
 from dynkmeans.verify import cert_overrides
 from dynkmeans.workload import UpdateStream, gen_workload
 
@@ -115,6 +118,42 @@ def test_mismatch_reports_first_line_and_summary_keys():
     short = mismatch("c", csv[:-6], csv, "", "")
     assert "line 601 (got 600 lines, want 601)" in short
     assert "got:  '<end of file>'" in short
+
+
+@pytest.mark.parametrize("name", ["sparse-k3", "window-k20"])
+def test_staging_dhat_and_epoch_ordering_match_their_oracles(name,
+                                                               monkeypatch):
+    # While centers are staged, a committed center's dhat is read from its
+    # record; the ANN walk from it must give the same level. The ordering an
+    # epoch start hands to restricted_kmeans must be a fresh ctx.ordering().
+    seen = Counter()
+    record_read = CenterIndex.dhat
+
+    def dhat(index, s):
+        got = record_read(index, s)
+        if index.staged:
+            assert got == index._bound(index._walk(s)[0]), s
+            seen["committed" if s in index.centers else "staged"] += 1
+        return got
+
+    shrink = controller.restricted_kmeans
+
+    def restricted(ctx, r, rng, ordering=None):
+        if ordering is not None:
+            assert ordering == ctx.ordering()
+            seen[sys._getframe(1).f_code.co_name] += 1
+        return shrink(ctx, r, rng, ordering)
+
+    monkeypatch.setattr(CenterIndex, "dhat", dhat)
+    monkeypatch.setattr(controller, "restricted_kmeans", restricted)
+    res = replay(name, UpdateStream.parse(
+        (GOLDEN / f"{name}.stream").read_text()))
+    assert mismatch(name, res.metrics_csv(),
+                    (GOLDEN / f"{name}.csv").read_text(), res.summary_text(),
+                    (GOLDEN / f"{name}.summary").read_text()) is None
+    assert seen["committed"] and seen["staged"] and seen["_estimate_ell"]
+    if name == "window-k20":    # k <= 4 gives ell = 0: no shrink call
+        assert seen["_start_epoch"]
 
 
 def regenerate(names=()):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from dynkmeans.params import Params
 from dynkmeans.workload import UpdateStream, gen_workload
 
 P = Params(epsilon=0.5, d=2, delta=64, seed=71)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def fake_clock():
@@ -288,3 +290,29 @@ def test_adversarial_churn_keeps_base_live():
         if i > 120:
             min_live_after_warmup = min(min_live_after_warmup, len(live))
     assert min_live_after_warmup >= 40  # persistent clustered base remains
+
+
+@pytest.mark.parametrize("line, key", [("sched.t_cap=x", "sched.t_cap"),
+                                       ("epsilon=abc", "epsilon")])
+def test_config_value_it_cannot_read_is_usage_error(line, key, tmp_path,
+                                                    capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["--config", str(cfg), "run",
+                     str(GOLDEN / "sparse-k3.stream")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert f"config key {key}:" in err
+
+
+def test_directory_as_stream_is_usage_error(tmp_path, capsys):
+    assert cli.main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_directory_as_config_is_usage_error(tmp_path, capsys):
+    assert cli.main(["--config", str(tmp_path), "run",
+                     str(GOLDEN / "sparse-k3.stream")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
