@@ -16,17 +16,20 @@ from .params import Params
 from .verify import SUITES, run_suite
 from .workload import MODES, UpdateStream, gen_workload
 
-PARAM_KEYS = {"epsilon": float, "d": int, "delta": int, "gamma": float,
-              "theta": float, "lam": float, "lambda_cap": int, "colors": int,
-              "seed": int, "preset": str}
+PARAM_KEYS = {"epsilon": float, "d": int, "delta": int, "lambda_cap": int,
+              "colors": int, "seed": int}
 
 SCHED_KEYS = {"ell_stop_factor": float, "ell_shrink": float,
               "augment_per_update": float, "makerobust_div": float,
               "robust_div": float, "contamination_offset": float,
               "d2_samples": int, "t_cap": int}
 
+CONFIG_KEYS = set(PARAM_KEYS) | {f"sched.{key}" for key in SCHED_KEYS}
+
 
 def load_config(path: str) -> dict:
+    """key=value lines; a key that is neither a parameter nor `sched.<entry>`
+    is a usage error that names it, so a misspelt key is never ignored."""
     cfg = {}
     with open(path) as fh:
         for raw in fh:
@@ -34,7 +37,10 @@ def load_config(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}")
+            cfg[key] = value.strip()
     return cfg
 
 
@@ -63,8 +69,6 @@ def params_from(cfg: dict, args) -> Params:
             kw[key] = config_value(cfg, key, cast)
     if args.seed is not None:
         kw["seed"] = args.seed
-    if args.preset is not None:
-        kw["preset"] = args.preset
     if getattr(args, "d", None):
         kw["d"] = args.d
     if getattr(args, "delta", None):
@@ -76,8 +80,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="dynkmeans")
     ap.add_argument("--config", help="key=value config file")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--preset", choices=("paper_faithful", "practical"),
-                    default=None)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a workload stream")

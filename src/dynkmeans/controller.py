@@ -309,6 +309,19 @@ class DynamicKMeans(ClusterContext):
     # ------------------------------------------------------------- robustify
 
     def _robustify(self, fresh: set, contaminated: set):
+        """make_robust every fresh or contaminated center, then drain the
+        yellow queue that the center index's flip events fill.
+
+        The queue's _make_robust path is unreachable under the default
+        schedule: the largest finite dhat, 3*gamma*2^L, has check level 0
+        against robust_div = lam^10, so no held level is below it (no golden
+        stream makes a yellow call, the certificate schedule's included).
+        The indicator events, type3_chain and the chain checks guard that
+        path for schedule overrides that reach it.
+        tests/test_params.py::test_no_reachable_dhat_reaches_a_yellow_makerobust
+        pins the premise, on which CenterIndex staging leaves staged flips
+        out of the event log.
+        """
         produced = set()
         for u in sorted(fresh | contaminated):
             if u not in self.cent.centers:

@@ -76,6 +76,8 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
     """
     if mode not in ("direct", "sparsified"):
         raise UsageError(f"unknown mode {mode!r}")
+    if baseline_every < 1:
+        raise UsageError(f"baseline_every must be >= 1, got {baseline_every!r}")
     clock = time_source or time.perf_counter_ns
     brng = make_rng(params.seed, "baseline")
 

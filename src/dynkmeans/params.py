@@ -9,9 +9,6 @@ from .errors import UsageError
 
 GAMMA_FLOOR = 2.0 * math.sqrt(2.0 * math.pi)  # hash construction precondition
 
-PRESET_PAPER = "paper_faithful"
-PRESET_PRACTICAL = "practical"
-
 
 def default_gamma(epsilon: float) -> float:
     return float(max(math.ceil(epsilon ** -1.5), math.ceil(GAMMA_FLOOR)))
@@ -27,28 +24,34 @@ def default_colors(d: int, delta: int) -> int:
 class Params:
     """Knobs shared by all structures.
 
+    Set by callers (0 for lambda_cap or colors picks the default):
+
     epsilon     accuracy knob, in (0, 1)
     d           ambient dimension after preprocessing
     delta       grid side length; coordinates live in [1, delta]
-    gamma       hash consistency parameter (>= 2*sqrt(2*pi))
-    theta       configured upper bound on subroutine approximation factors
-    lam         robustness base; equals theta**2 under paper_faithful
     lambda_cap  bucket-count cap per consistency query
     colors      number of weak hashes backing one consistent hash
     seed        root RNG seed
-    preset      exponent schedule selector
+
+    Derived from epsilon, and stored because the hash and index hot paths
+    read them:
+
+    gamma       hash consistency parameter, max(ceil(eps^-1.5), 6)
+    theta       configured upper bound on subroutine approximation factors
+    lam         robustness base, 3*gamma: robustness balls at scale j spill
+                into ball(x, 3*gamma*r), and nesting them inside scale j+1
+                needs lam >= 3*gamma
     """
 
     epsilon: float = 0.5
     d: int = 2
     delta: int = 256
-    gamma: float = 0.0
-    theta: float = 0.0
-    lam: float = 0.0
     lambda_cap: int = 0
     colors: int = 0
     seed: int = 0
-    preset: str = PRESET_PRACTICAL
+    gamma: float = field(init=False)
+    theta: float = field(init=False)
+    lam: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -57,31 +60,10 @@ class Params:
             raise UsageError("d must be >= 1")
         if self.delta < 2:
             raise UsageError("delta must be >= 2")
-        if self.preset not in (PRESET_PAPER, PRESET_PRACTICAL):
-            raise UsageError(f"unknown preset {self.preset!r}")
-        if self.gamma == 0.0:
-            object.__setattr__(self, "gamma", default_gamma(self.epsilon))
-        if self.gamma < GAMMA_FLOOR:
-            raise UsageError(f"gamma must be >= 2*sqrt(2*pi) ~ {GAMMA_FLOOR:.4f}")
-        if self.theta == 0.0:
-            if self.preset == PRESET_PAPER:
-                object.__setattr__(self, "theta", (3.0 * self.gamma) ** 2)
-            else:
-                object.__setattr__(self, "theta", 2.0)
-        if self.theta < 1.0:
-            raise UsageError("theta must be >= 1")
-        if self.lam == 0.0:
-            if self.preset == PRESET_PAPER:
-                object.__setattr__(self, "lam", self.theta ** 2)
-            else:
-                # robustness balls at scale j spill into ball(x, 3*gamma*r);
-                # nesting them inside scale j+1 needs lam >= 3*gamma
-                object.__setattr__(self, "lam", max(self.theta ** 2,
-                                                    3.0 * self.gamma))
-        if self.preset == PRESET_PAPER and not math.isclose(self.lam, self.theta ** 2):
-            raise UsageError("paper_faithful requires lam == theta**2")
-        if self.lam <= 1.0:
-            raise UsageError("lam must be > 1")
+        gamma = default_gamma(self.epsilon)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "theta", 2.0)
+        object.__setattr__(self, "lam", 3.0 * gamma)  # >= 18 > theta**2
         if self.colors == 0:
             object.__setattr__(self, "colors", default_colors(self.d, self.delta))
         if self.colors < 1:
@@ -89,8 +71,8 @@ class Params:
         if self.lambda_cap == 0:
             # per-color budget tracks the measured cell-count growth,
             # exponential in d / gamma^(2/3) with a poly(d) prefactor
-            budget = math.ceil(6 * self.gamma * self.d
-                               * 2.0 ** (self.d / self.gamma ** (2.0 / 3.0)))
+            budget = math.ceil(6 * gamma * self.d
+                               * 2.0 ** (self.d / gamma ** (2.0 / 3.0)))
             object.__setattr__(self, "lambda_cap", self.colors * budget)
         if self.lambda_cap < 1:
             raise UsageError("lambda_cap must be >= 1")
@@ -114,9 +96,9 @@ class Params:
 class ExponentSchedule:
     """One table read by every controller call site.
 
-    paper_faithful carries the literal exponents of the epoch machinery;
-    practical swaps in desk-scale values while preserving the structure of
-    every comparison.
+    It keeps the structure of every comparison in the paper's epoch
+    machinery, with desk-scale values in place of its literal exponents
+    (README, "Parameters and schedule", lists both and why).
     """
 
     lam: float
@@ -148,39 +130,27 @@ def schedule_for(params: Params) -> ExponentSchedule:
         return _schedule(params)
     except OverflowError:
         raise UsageError(
-            f"epsilon={params.epsilon} is too small for the {params.preset} "
-            "preset: its exponent schedule overflows a float") from None
+            f"epsilon={params.epsilon} is too small: the exponent schedule "
+            "overflows a float") from None
 
 
 def _schedule(params: Params) -> ExponentSchedule:
     lam = params.lam
-    theta = params.theta
     aspect = params.aspect
     t_cap = max(1, math.ceil(math.log(aspect) / math.log(lam ** 3)))
     n_gammas = max(1, math.ceil(math.log(aspect) / math.log(lam)))
     gammas = tuple(lam ** i for i in range(n_gammas + 1))
-    if params.preset == PRESET_PAPER:
-        ell_stop_factor = theta ** 8 * lam ** 44
-        ell_shrink = 36.0 * lam ** 51
-        augment_per_update = lam ** 52
-        d2_samples = max(1, math.ceil(params.epsilon ** -6 * params.d
-                                      * math.log2(params.delta)))
-    else:
-        ell_stop_factor = 10.0
-        ell_shrink = 4.0
-        augment_per_update = 1.0
-        d2_samples = max(1, min(32, math.ceil(
-            0.001 * params.epsilon ** -6 * params.d * math.log2(params.delta))))
     return ExponentSchedule(
         lam=lam,
-        theta=theta,
-        ell_stop_factor=ell_stop_factor,
-        ell_shrink=ell_shrink,
-        augment_per_update=augment_per_update,
+        theta=params.theta,
+        ell_stop_factor=10.0,
+        ell_shrink=4.0,
+        augment_per_update=1.0,
         makerobust_div=lam ** 7,
         robust_div=lam ** 10,
         contamination_offset=1.5,
-        d2_samples=d2_samples,
+        d2_samples=max(1, min(32, math.ceil(
+            0.001 * params.epsilon ** -6 * params.d * math.log2(params.delta)))),
         t_cap=t_cap,
         indicator_gammas=gammas,
     )

@@ -203,6 +203,10 @@ class SparsifiedRunner:
 
     def __init__(self, params: Params, k: int, n_hint: int = 1024,
                  verifiers: int | None = None, alpha: float = 25.0):
+        # the primary is reset while its cost exceeds alpha times the best
+        # verifier's: below 1 that can reset forever, and nan never resets
+        if not (math.isfinite(alpha) and alpha >= 1):
+            raise UsageError(f"alpha must be finite and >= 1, got {alpha!r}")
         self.params = params
         self.k = k
         self.alpha = alpha

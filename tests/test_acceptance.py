@@ -7,7 +7,7 @@ import math
 from dynkmeans.assignment import AssignmentStructure
 from dynkmeans.geometry import brute_opt_augmented, cost, dist
 from dynkmeans.harness import run_stream, time_naive_recompute
-from dynkmeans.params import Params, schedule_for
+from dynkmeans.params import Params
 from dynkmeans.rng import make_rng
 from dynkmeans.sparsifier import SparsifiedRunner
 from dynkmeans.subroutines import ClusterContext, augmented_kmeans
@@ -141,10 +141,10 @@ def test_criterion_10_restricted_vs_oracle():
 
 
 def test_criterion_11_augmented_vs_oracle():
-    p = Params(epsilon=0.5, d=2, delta=32, seed=111, preset="paper_faithful")
-    sched = schedule_for(p)
-    t = sched.d2_samples
-    assert t >= p.epsilon ** -6 * p.d  # paper-faithful draw count
+    p = Params(epsilon=0.5, d=2, delta=32, seed=111)
+    # the paper's draw count, not the schedule's desk-scale one
+    t = math.ceil(p.epsilon ** -6 * p.d * math.log2(p.delta))
+    assert t == 640
     rng = make_rng(111, "inst")
     ok = 0
     trials = 50

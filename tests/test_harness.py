@@ -137,16 +137,15 @@ def test_run_has_no_d_option(tmp_path):
 
 
 def test_overflowing_schedule_is_usage_error(tmp_path, capsys):
-    # paper_faithful at epsilon=0.1 needs lam**44 with lam ~ 8.5e7
+    # epsilon=1e-21 gives lam ~ 9.5e31, and lam**10 overflows a float
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("epsilon=0.1\n")
+    cfg.write_text("epsilon=1e-21\n")
     path = tmp_path / "s.txt"
     path.write_text(gen_workload("clustered", 20, 2, 64, 2, seed=1).serialize())
-    assert cli.main(["--config", str(cfg), "--preset", "paper_faithful",
-                     "run", str(path)]) == 2
+    assert cli.main(["--config", str(cfg), "run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
-    assert "epsilon=0.1" in err and "paper_faithful" in err
+    assert "epsilon=1e-21 is too small" in err
 
 
 def test_run_stream_insertions_only_ratio_one():
@@ -183,6 +182,17 @@ def test_run_stream_direct_vs_sparsified_comparable():
     assert d.summary["n_updates"] == s.summary["n_updates"] == 150
     assert "ratio_p50" in d.summary and "ratio_p50" in s.summary
     assert s.summary["resets_total"] >= 0
+
+
+@pytest.mark.parametrize("every", [0, -3])
+def test_baseline_every_below_one_is_usage_error(every, capsys):
+    stream = gen_workload("uniform", 5, 2, 64, 2, seed=9)
+    with pytest.raises(UsageError, match="baseline_every"):
+        run_stream(stream, P, 2, baseline_every=every)
+    assert cli.main(["run", str(GOLDEN / "sparse-k3.stream"),
+                     "--baseline-every", str(every)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
 
 
 def test_run_stream_bad_mode():
@@ -303,6 +313,36 @@ def test_config_value_it_cannot_read_is_usage_error(line, key, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
     assert f"config key {key}:" in err
+
+
+@pytest.mark.parametrize("alpha", ["0", "nan"])
+def test_run_sparsified_bad_alpha_is_usage_error(alpha, capsys):
+    assert cli.main(["run", str(GOLDEN / "sparse-k3.stream"), "--mode",
+                     "sparsified", "--alpha", alpha]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert "alpha" in err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("epsilonn=0.3", "epsilonn"),               # a typo
+    ("sched.t_capp=3", "sched.t_capp"),         # a typo of a schedule entry
+    ("preset=paper_faithful", "preset"),        # removed keys
+    ("gamma=8", "gamma"), ("theta=2", "theta"), ("lam=20", "lam")])
+def test_unknown_config_key_is_usage_error(line, key, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed=3\n" + line + "\n")
+    assert cli.main(["--config", str(cfg), "run",
+                     str(GOLDEN / "sparse-k3.stream")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert f"unknown config key {key!r}" in err
+
+
+def test_cli_has_no_preset_option():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--preset", "practical", "verify", "--suite", "lemmas"])
+    assert exc.value.code == 2
 
 
 def test_directory_as_stream_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -16,26 +17,24 @@ def test_defaults_practical():
     assert p.lambda_cap >= p.colors * p.per_color_cap
 
 
-def test_defaults_paper_faithful():
-    p = Params(epsilon=0.5, d=2, delta=256, preset="paper_faithful")
-    assert math.isclose(p.lam, p.theta ** 2)
-    assert p.theta == (3 * p.gamma) ** 2
+@pytest.mark.parametrize("eps", [0.9, 0.5, 0.3, 0.1])
+def test_gamma_theta_lam_derive_from_epsilon(eps):
+    p = Params(epsilon=eps, d=2, delta=256)
+    assert p.gamma == max(math.ceil(eps ** -1.5), math.ceil(GAMMA_FLOOR))
+    assert (p.theta, p.lam) == (2.0, 3 * p.gamma)
+    q = replace(p, d=3)        # recomputed, not copied
+    assert (q.gamma, q.theta, q.lam) == (p.gamma, p.theta, p.lam)
 
 
-def test_paper_faithful_rejects_inconsistent_lam():
-    with pytest.raises(UsageError):
-        Params(epsilon=0.5, d=2, delta=256, preset="paper_faithful",
-               theta=9.0, lam=80.0)
-
-
-def test_gamma_floor_enforced():
-    with pytest.raises(UsageError):
-        Params(epsilon=0.5, d=2, delta=256, gamma=2.0)
+@pytest.mark.parametrize("key", ["gamma", "theta", "lam", "preset"])
+def test_derived_values_are_not_parameters(key):
+    with pytest.raises(TypeError):
+        Params(epsilon=0.5, **{key: 2.0})
 
 
 def test_basic_range_checks():
     for kw in ({"epsilon": 0.0}, {"epsilon": 1.0}, {"d": 0}, {"delta": 1},
-               {"preset": "bogus"}, {"theta": 0.5}, {"colors": -1}):
+               {"colors": -1}):
         with pytest.raises(UsageError):
             Params(**{"epsilon": 0.5, "d": 2, "delta": 256, **kw})
 
@@ -52,21 +51,9 @@ def test_schedule_structure():
     assert s.lam ** (3 * s.t_cap) >= p.aspect
 
 
-def test_schedule_paper_faithful_exponents():
-    p = Params(epsilon=0.5, d=2, delta=64, preset="paper_faithful")
-    s = schedule_for(p)
-    lam, th = p.lam, p.theta
-    assert math.isclose(s.ell_stop_factor, th ** 8 * lam ** 44)
-    assert math.isclose(s.ell_shrink, 36 * lam ** 51)
-    assert math.isclose(s.augment_per_update, lam ** 52)
-    assert math.isclose(s.makerobust_div, lam ** 7)
-    assert math.isclose(s.robust_div, lam ** 10)
-    assert s.d2_samples >= p.epsilon ** -6 * p.d
-
-
 def test_schedule_overflow_is_usage_error():
-    p = Params(epsilon=0.1, d=2, delta=256, preset="paper_faithful")
-    with pytest.raises(UsageError, match="epsilon=0.1.*paper_faithful"):
+    p = Params(epsilon=1e-21, d=2, delta=256)   # lam ~ 9.5e31 overflows lam**10
+    with pytest.raises(UsageError, match="epsilon=1e-21 is too small"):
         schedule_for(p)
 
 
@@ -76,16 +63,15 @@ def test_aspect_and_levels():
     assert 2 ** p.dyadic_levels >= p.aspect
 
 
-@pytest.mark.parametrize("preset", ["practical", "paper_faithful"])
 @pytest.mark.parametrize("d,delta", [(1, 64), (2, 256), (3, 512), (4, 128),
                                      (8, 1024)])
-def test_no_reachable_dhat_reaches_a_yellow_makerobust(preset, d, delta):
+def test_no_reachable_dhat_reaches_a_yellow_makerobust(d, delta):
     # The largest finite dhat is 3*gamma*2^L. While its check level is 0,
     # the yellow queue never calls _make_robust on a center whose level is
     # set, so flips that a staged center makes and undoes cannot move the
     # output: CenterIndex's event log may leave them out. A schedule change
     # that breaks this must re-argue staging.
-    p = Params(epsilon=0.5, d=d, delta=delta, preset=preset)
+    p = Params(epsilon=0.5, d=d, delta=delta)
     dk = DynamicKMeans(p, k=2)
     top = 3.0 * p.gamma * (1 << p.dyadic_levels)
     assert dk.cent._bound(p.dyadic_levels) == top

@@ -160,6 +160,12 @@ def test_runner_needs_a_verifier(verifiers):
         SparsifiedRunner(P, k=3, n_hint=64, verifiers=verifiers)
 
 
+@pytest.mark.parametrize("alpha", [0, -1, 0.5, math.nan, math.inf])
+def test_runner_alpha_must_be_finite_and_at_least_one(alpha):
+    with pytest.raises(UsageError, match="alpha"):
+        SparsifiedRunner(P, k=3, n_hint=64, verifiers=2, alpha=alpha)
+
+
 def test_runner_small_x_equals_solution():
     runner = SparsifiedRunner(P, k=5, n_hint=64, verifiers=2)
     pts = [(10, 10), (50, 50), (90, 90)]
