@@ -69,9 +69,9 @@ def params_from(cfg: dict, args) -> Params:
             kw[key] = config_value(cfg, key, cast)
     if args.seed is not None:
         kw["seed"] = args.seed
-    if getattr(args, "d", None):
+    if getattr(args, "d", None) is not None:
         kw["d"] = args.d
-    if getattr(args, "delta", None):
+    if getattr(args, "delta", None) is not None:
         kw["delta"] = args.delta
     return Params(**kw)
 
@@ -124,8 +124,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
         if args.cmd == "gen":
-            seed = args.seed or (config_value(cfg, "seed", int)
-                                 if "seed" in cfg else 0)
+            if args.seed is not None:
+                seed = args.seed
+            else:
+                seed = config_value(cfg, "seed", int) if "seed" in cfg else 0
             stream = gen_workload(args.mode, args.n, args.d, args.delta,
                                   args.k, ins_frac=args.ins_frac, seed=seed,
                                   window=args.window)
@@ -144,7 +146,9 @@ def main(argv=None) -> int:
             if args.delta is None:
                 args.delta = stream.delta
             params = params_from(cfg, args)
-            k = args.k or stream.k_hint
+            k = args.k if args.k is not None else stream.k_hint
+            if k < 1:
+                raise UsageError(f"k must be >= 1, got {k}")
             time_source = None
             if args.fixed_time:
                 counter = [0]

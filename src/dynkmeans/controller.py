@@ -9,6 +9,7 @@ the output solution is tracked separately in between.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,8 @@ from .geometry import WeightedSet, check_weighted_point, dist
 from .params import Params, schedule_for
 from .range_query import BallOneMeans, CenterIndex, MomentSummary
 from .rng import make_rng
-from .subroutines import (ClusterContext, augmented_kmeans, restricted_kmeans,
+from .subroutines import (ClusterContext, augmented_kmeans,
+                          replay_restricted_draws, restricted_kmeans,
                           static_weighted_kmeans)
 
 
@@ -215,11 +217,11 @@ class DynamicKMeans(ClusterContext):
     def _start_epoch(self):
         self.S_init = frozenset(self.cent.centers)
         # nothing changes the context between the estimate and the shrink,
-        # so one ordering serves the estimate's trials and the shrink
-        ordering = self.ordering()
+        # so one ordering, built when first needed, serves both
+        ordering = functools.cache(self.ordering)
         _, self.ell = self._estimate_ell(ordering)
         if self.ell >= 1:
-            removed = restricted_kmeans(self, self.ell, self.rng, ordering)
+            removed = restricted_kmeans(self, self.ell, self.rng, ordering())
             self.S_out -= removed
         self.epoch_updates = 0
         self.start_counts = {}
@@ -227,30 +229,57 @@ class DynamicKMeans(ClusterContext):
         self.epoch_live = True
 
     def _estimate_ell(self, ordering=None):
-        """(ell_hat, ell) for S_init. `ordering`, when given, is
-        self.ordering() of the current context."""
-        s_init = self.S_init
+        """(ell_hat, ell) for S_init. `ordering`, when given, is a callable
+        that returns self.ordering() of the current context.
+
+        A trial that a lower bound proves will fail is not solved; its
+        random draws are replayed (replay_restricted_draws) where their
+        count is known without solving, so every output is the same. The
+        bound: cost(X, S - R) >= floor(|R|) = base + the sum of the |R|
+        smallest inc_c, where inc_c sums w(x) * (second-nearest minus
+        nearest squared distance) over the points x whose nearest center
+        is c. Each point outside the clusters of R keeps its nearest
+        distance, and each point inside moves at least to its second
+        nearest.
+
+        The bound is compared in floats. Every term of the trial's cost,
+        of base and of the inc_c is a non-negative product of a weight and
+        an exact integer distance (or difference of two), and each float
+        sum passes a term through at most |X| + |S| + 1 roundings, so the
+        computed floor exceeds the true one, and the computed trial cost
+        falls short of the true cost, by a relative 2^-53 times that count
+        at most, to first order. A floor above the trial's threshold by a
+        relative margin 4 * (|X| + |S| + 1) * 2^-53 covers both, and the
+        rounding of the margin product itself; the trial's own float
+        comparison would then fail it as well."""
+        limit = min(self.k, len(self.S_init)) - 1
+        if limit < 1:
+            return 0, 0
         # one distance matrix prices every trial S_init - removed as a
         # column-masked row minimum (bitwise equal to X.cost of the set)
-        cols = list(s_init)
+        cols = list(self.S_init)
         d2 = self.X.dist2_matrix(cols)
         _, w = self.X.arrays()
-        base = float(np.dot(w, d2.min(axis=1))) if cols else 0.0
-        stop = self.sched.ell_stop_factor
-        limit = min(self.k, len(s_init)) - 1
-        # restricted_kmeans only reads the context: one ordering serves all
-        if ordering is None and limit >= 1:
-            ordering = self.ordering()
+        near = d2.min(axis=1)
+        base = float(np.dot(w, near))
+        thr = self.sched.ell_stop_factor * base
+        floors = _removal_floors(d2.T, w, near, base)
+        ruled_out = thr * (1 + 4 * (len(w) + len(cols) + 1) * 2.0 ** -53)
+        if ordering is None:
+            ordering = functools.cache(self.ordering)
         prev = 0
         i = 0
         while True:
             s_i = 1 << i
             if s_i > limit:
                 break
-            removed = restricted_kmeans(self, s_i, self.rng, ordering)
+            if (floors[s_i - 1] > ruled_out
+                    and replay_restricted_draws(self, s_i, self.rng)):
+                break
+            removed = restricted_kmeans(self, s_i, self.rng, ordering())
             keep = [j for j, c in enumerate(cols) if c not in removed]
             cost_i = float(np.dot(w, d2[:, keep].min(axis=1)))
-            if cost_i > stop * base:
+            if cost_i > thr:
                 break
             prev = s_i
             i += 1
@@ -407,6 +436,22 @@ class DynamicKMeans(ClusterContext):
                                             self.params.delta,
                                             label=f"center {v}"))
         return bad
+
+
+def _removal_floors(dc: np.ndarray, w: np.ndarray, near: np.ndarray,
+                    base: float) -> np.ndarray:
+    """floor(r) at index r - 1, for r = 1 .. |S| - 1: base plus the r
+    smallest single-removal increases. `dc` is the centers-major |S| x |X|
+    distance matrix (C-contiguous), `near` its column minima; the second
+    minimum is read with each point's nearest entry masked."""
+    m, n = dc.shape
+    nearest = dc.argmin(axis=0)
+    second = dc.copy()
+    second[nearest, np.arange(n)] = np.inf
+    inc = np.bincount(nearest, weights=w * (second.min(axis=0) - near),
+                      minlength=m)
+    inc.sort()
+    return base + np.cumsum(inc[:-1])
 
 
 def validate_certificate(rec: MakeRobustRecord, X: WeightedSet, sched,

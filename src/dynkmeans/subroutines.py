@@ -32,15 +32,22 @@ def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng,
     of the chosen centers; for w >= 0 that is bitwise w times the running
     minimum distance. D, when given, is pairwise_d2(pts, pts), whose rows
     replace the per-center distance computation."""
-    n = pts.shape[0]
     if D is None:
         def wrow(c):
             return w * pairwise_d2(pts[c, None], pts)[0]
     else:
         wrow = (D * w).__getitem__
+    return _seed(wrow, w, k, rng)
+
+
+def _seed(wrow, w: np.ndarray, k: int, rng) -> list:
+    """weighted_kmeanspp over the weighted distance rows wrow(c)."""
+    n = w.shape[0]
     wsum = np.add.reduce(w)
-    probs = w / wsum if wsum > 0 else np.full(n, 1.0 / n)
-    first = _draw(probs, rng)
+    if wsum > 0:
+        first = _draw(w, float(wsum), rng)
+    else:
+        first = _draw(np.ones(n), float(n), rng)
     chosen = [first]
     mass = wrow(first)
     while len(chosen) < k:
@@ -53,49 +60,60 @@ def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng,
                     if len(chosen) == k:
                         break
             break
-        idx = _draw(mass / tot, rng)
+        idx = _draw(mass, float(tot), rng)
         chosen.append(idx)
         mass = np.minimum(mass, wrow(idx))
     return chosen[:k]
 
 
-def _draw(probs: np.ndarray, rng) -> int:
-    """First index whose running total of probs reaches a uniform draw; the
-    cumulative sum adds left to right, so the totals are a sequential
-    loop's partial sums."""
-    i = int(probs.cumsum().searchsorted(rng.random()))
-    return min(i, len(probs) - 1)
+def _draw(mass: np.ndarray, tot: float, rng) -> int:
+    """First index whose running total of mass / tot reaches a uniform draw,
+    or the last index when rounding leaves every total below it. The total
+    adds the quotients left to right, as numpy's cumsum of mass / tot does,
+    so the index is bitwise the one searchsorted finds on that cumsum."""
+    u = rng.random()
+    acc = 0.0
+    for i, m in enumerate(mass.tolist()):
+        acc += m / tot
+        if acc >= u:
+            return i
+    return len(mass) - 1
 
 
 def _swap_costs(w, rows, assign, best1, best2, k: int) -> np.ndarray:
-    """Cost of swapping each candidate into each of the k slots; row i of
-    `rows` holds the candidate's squared distance to every point.
+    """Cost of swapping each candidate into each of the k slots, one row per
+    candidate; row i of `rows` holds the candidate's squared distance to
+    every point. Priced by _priced_swaps from the weighted rows."""
+    m = rows.shape[0]
+    bins = (np.arange(m) * k)[:, None] + assign
+    return _priced_swaps(rows * w, w * best1, _weighted_best2(w, best2, k),
+                         bins, k)
+
+
+def _weighted_best2(w, best2, k: int) -> np.ndarray:
+    """w * best2, except for k = 1, where best2 is all inf and stays
+    unmultiplied: w = 0 would make 0 * inf = nan, while min(inf, w * d)
+    is the w * min(inf, d) it stands for."""
+    return best2 if k == 1 else w * best2
+
+
+def _priced_swaps(WR, wb1, wb2, bins, k: int) -> np.ndarray:
+    """Swap costs from the weighted rows WR = rows * w and the weighted best
+    distances wb1 = w * best1 and wb2 = _weighted_best2(w, best2, k);
+    `bins` holds i * k + assign[x] at (i, x). For w >= 0, min(w * b, w * d)
+    is bitwise w * min(b, d), since rounding a product is monotone, so every
+    term is the one the unweighted formula computes.
 
     Each row's total is the same pairwise reduction as a 1-D sum, and the
-    flattened bincount adds each slot's terms in point order, as a per-row
-    bincount would. The result is built slot-major and returned as its `.T`
-    view, so a minimum over the slots runs along the candidates axis."""
-    m = rows.shape[0]
-    t1 = w * np.minimum(best1, rows)
-    t2 = w * np.minimum(best2, rows)
-    base = np.add.reduce(t1, axis=1)
-    bins = (assign * m + np.arange(m)[:, None]).ravel()
-    delta = np.bincount(bins, weights=(t2 - t1).ravel(), minlength=m * k)
-    return (base + delta.reshape(k, m)).T
-
-
-def _first_improving_swap(D, w, chosen, assign, best1, best2, k: int,
-                          cur: float):
-    """(slot, candidate) for the first unchosen candidate in index order
-    whose best swap improves on cur, or None. Every row of D is priced at
-    once; the rows of chosen points are priced too and discarded."""
-    costs = _swap_costs(w, D, assign, best1, best2, k)
-    better = costs.min(axis=1) < cur * (1 - 1e-12)
-    better[chosen] = False
-    i = int(better.argmax())
-    if not better[i]:
-        return None
-    return int(costs[i].argmin()), i
+    flattened bincount adds each (candidate, slot) bin's terms in point
+    order, as a per-row bincount would."""
+    m = WR.shape[0]
+    t1 = np.minimum(wb1, WR)
+    t2 = np.minimum(wb2, WR)
+    delta = np.bincount(bins.ravel(), weights=(t2 - t1).ravel(),
+                        minlength=m * k).reshape(m, k)
+    delta += np.add.reduce(t1, axis=1)[:, None]
+    return delta
 
 
 def static_weighted_kmeans(points, weights, k: int, rng):
@@ -125,22 +143,26 @@ def static_weighted_kmeans(points, weights, k: int, rng):
     exhaustive = n <= _EXHAUSTIVE_LIMIT
     if exhaustive:
         # (a-b)^2 == (b-a)^2, so D is symmetric and each row is bitwise the
-        # per-center distance vector
+        # per-center distance vector; its weighted rows WD serve both the
+        # seeding and every swap pass
         D = pairwise_d2(pts, pts)
-        chosen = weighted_kmeanspp(pts, w, k, rng, D)
+        WD = D * w
+        cols = (np.arange(n) * k)[:, None]
+        chosen = _seed(WD.__getitem__, w, k, rng)
         d2 = D[:, chosen]
     else:
         chosen = weighted_kmeanspp(pts, w, k, rng)
         d2 = pairwise_d2(pts, pts[chosen])
 
     def refresh():
+        # best1 is copied out contiguous: BLAS sums a strided vector in
+        # another order, and d2 changes under a view
         assign = d2.argmin(axis=1)
-        best1 = d2[np.arange(n), assign]
         if k > 1:
             part = np.partition(d2, 1, axis=1)
-            best2 = part[:, 1]
+            best1, best2 = part[:, 0].copy(), part[:, 1]
         else:
-            best2 = np.full(n, np.inf)
+            best1, best2 = d2[:, 0].copy(), np.full(n, np.inf)
         return assign, best1, best2
 
     assign, best1, best2 = refresh()
@@ -149,18 +171,23 @@ def static_weighted_kmeans(points, weights, k: int, rng):
     misses = 0
     while swaps < 50 * k and cur > 0:
         if exhaustive:
-            swap = _first_improving_swap(D, w, chosen, assign, best1, best2,
-                                         k, cur)
-            if swap is None:
+            # the first unchosen candidate in index order whose best swap
+            # improves on cur; chosen rows are priced too and discarded
+            costs = _priced_swaps(WD, w * best1, _weighted_best2(w, best2, k),
+                                  cols + assign, k)
+            better = costs.min(axis=1) < cur * (1 - 1e-12)
+            better[chosen] = False
+            cand = int(better.argmax())
+            if not better[cand]:
                 break
-            j, cand = swap
+            j = int(costs[cand].argmin())
             dnew = D[cand]
         else:
             mass = w * best1
             tot = np.add.reduce(mass)
             if tot <= 0:
                 break
-            cand = _draw(mass / tot, rng)
+            cand = _draw(mass, float(tot), rng)
             if cand in chosen:
                 continue
             dnew = pairwise_d2(pts[cand, None], pts)[0]
@@ -263,16 +290,39 @@ def restricted_kmeans(ctx, r: int, rng, ordering=None):
     weights = [ctx.weight(s) for s in sketch]
     keep = len(sketch) - r
     survivors = static_weighted_kmeans(sketch, weights, keep, rng)
+    # at most `keep` distinct survivors, so at least r centers are removed;
+    # more only when seeding's clamp or a u = 0 draw repeats an index, and
+    # then the r lexicographically smallest are kept
     removed = set(sketch) - set(survivors)
-    # static solver picks survivors from the support; exactness of |R| = r
-    # is restored by dropping the cheapest extras if support collapsed
-    removed = set(sorted(removed)[:r])
-    while len(removed) < r:
-        for s in sorted(sketch):
-            if s not in removed:
-                removed.add(s)
-                break
-    return removed
+    return set(sorted(removed)[:r])
+
+
+def replay_restricted_draws(ctx, r: int, rng) -> bool:
+    """Advance rng by exactly the rng.random() calls restricted_kmeans(ctx,
+    r, rng) makes, without solving, when that count is known; returns
+    whether it did. A caller that already knows the call's result is of no
+    use (the epoch controller's ruled-out ell trials) keeps the draws of
+    every later call unchanged this way.
+
+    The count is known when
+    - 6r >= |S|: the sketch is all of S, distinct points, with no ANN query;
+    - |S| <= _EXHAUSTIVE_LIMIT: the local search scans every candidate and
+      draws nothing;
+    - at least |S| - r centers have positive weight: seeding then draws
+      once per survivor, since until |S| - r are chosen some unchosen
+      center still has positive weight, so positive mass, and the
+      remaining mass never reaches zero.
+    Seeding then makes |S| - r draws and the whole call makes no other."""
+    S = ctx.centers()
+    n = len(S)
+    keep = n - r
+    if not (1 <= r < n) or 6 * r < n or n > _EXHAUSTIVE_LIMIT:
+        return False
+    if sum(1 for s in S if ctx.weight(s) > 0) < keep:
+        return False
+    for _ in range(keep):
+        rng.random()
+    return True
 
 
 def augmented_kmeans(ctx, a: int, t: int, rng):

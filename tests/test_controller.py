@@ -1,10 +1,14 @@
+import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynkmeans.controller import DynamicKMeans, validate_certificate
+from dynkmeans.controller import (DynamicKMeans, _removal_floors,
+                                  validate_certificate)
 from dynkmeans.errors import UsageError
-from dynkmeans.geometry import dist
+from dynkmeans.geometry import WeightedSet, dist
 from dynkmeans.params import Params, schedule_for
 from dynkmeans.rng import make_rng
 from dynkmeans.verify import cert_controller, cert_overrides
@@ -150,6 +154,36 @@ def test_zero_length_epoch_runs_pipeline_every_update():
     boundaries = sum(1 for r in tail if r.epoch_boundary)
     zero_len = sum(1 for r in tail if r.epoch_len == 1)
     assert boundaries >= 0.8 * zero_len * 0.9  # ell=0 epochs end immediately
+
+
+_CELL = st.tuples(st.integers(1, 12), st.integers(1, 12))
+_WEIGHT = st.one_of(st.just(0.0), st.just(1.0),
+                    st.sampled_from((1 / 3, 2 / 3, 2.5)), st.floats(0.0, 8.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CELL, min_size=2, max_size=8, unique=True), st.data())
+def test_removal_floor_is_below_every_removal(centers, data):
+    # floor(r) = base + the r smallest single-removal increases, read from
+    # the matrix _estimate_ell builds, never exceeds cost(X, S - R) for any
+    # r-subset R, up to the margin _estimate_ell compares with. Points lie
+    # on a small grid, repeat, and sit on centers; weights may be 0.
+    pts = data.draw(st.lists(st.tuples(st.one_of(_CELL,
+                                                 st.sampled_from(centers)),
+                                       _WEIGHT), max_size=24))
+    X = WeightedSet(2)
+    for key, (p, wv) in enumerate(pts):
+        X.insert(key, p, wv)
+    d2 = X.dist2_matrix(centers)
+    _, w = X.arrays()
+    near = d2.min(axis=1)
+    floors = _removal_floors(d2.T, w, near, float(np.dot(w, near)))
+    assert len(floors) == len(centers) - 1
+    margin = 4 * (len(w) + len(centers) + 1) * 2.0 ** -53
+    for r in range(1, len(centers)):
+        best = min(X.cost(set(centers) - set(R))
+                   for R in itertools.combinations(centers, r))
+        assert floors[r - 1] <= best * (1 + margin), r
 
 
 def test_estimate_ell_zero_when_removal_expensive():

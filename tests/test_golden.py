@@ -9,6 +9,7 @@ intended) with:
 Named cases are regenerated; with no names, every case is.
 """
 
+import copy
 import sys
 from collections import Counter
 from pathlib import Path
@@ -154,6 +155,37 @@ def test_staging_dhat_and_epoch_ordering_match_their_oracles(name,
     assert seen["committed"] and seen["staged"] and seen["_estimate_ell"]
     if name == "window-k20":    # k <= 4 gives ell = 0: no shrink call
         assert seen["_start_epoch"]
+
+
+@pytest.mark.parametrize("name", ["sparse-k3", "window-k20"])
+def test_ruled_out_ell_trials_would_fail(name, monkeypatch):
+    # _estimate_ell asks for a replay only for a trial its lower bound rules
+    # out. Solve each such trial anyway, on a copy of the generator: it must
+    # fail the stop rule, and a replay that acts must leave the generator
+    # where the real call leaves it. The replay must still match the golden.
+    seen = Counter()
+    real = controller.replay_restricted_draws
+
+    def checked(ctx, r, rng):
+        oracle = copy.deepcopy(rng)
+        removed = controller.restricted_kmeans(ctx, r, oracle,
+                                               ctx.ordering())
+        base = ctx.X.cost(ctx.S_init)
+        cost = ctx.X.cost(ctx.S_init - removed)
+        assert cost > ctx.sched.ell_stop_factor * base, (r, cost, base)
+        acted = real(ctx, r, rng)
+        if acted:
+            assert rng.getstate() == oracle.getstate()
+        seen["acted" if acted else "declined"] += 1
+        return acted
+
+    monkeypatch.setattr(controller, "replay_restricted_draws", checked)
+    res = replay(name, UpdateStream.parse(
+        (GOLDEN / f"{name}.stream").read_text()))
+    assert mismatch(name, res.metrics_csv(),
+                    (GOLDEN / f"{name}.csv").read_text(), res.summary_text(),
+                    (GOLDEN / f"{name}.summary").read_text()) is None
+    assert seen["acted"] + seen["declined"] > 0, seen
 
 
 def regenerate(names=()):

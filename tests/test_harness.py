@@ -356,3 +356,38 @@ def test_directory_as_config_is_usage_error(tmp_path, capsys):
                      str(GOLDEN / "sparse-k3.stream")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_explicit_seed_zero_overrides_config(tmp_path):
+    # --seed 0 is a seed, not "unset": it beats the config file's seed
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed=5\n")
+    gen = ["gen", "--mode", "clustered", "--n", "40", "--k", "3"]
+    paths = {}
+    for tag, pre in (("zero", ["--config", str(cfg), "--seed", "0"]),
+                     ("default", []), ("config", ["--config", str(cfg)])):
+        paths[tag] = tmp_path / f"{tag}.txt"
+        assert cli.main(pre + gen + ["--out", str(paths[tag])]) == 0
+    text = {tag: p.read_text() for tag, p in paths.items()}
+    assert text["zero"] == text["default"] != text["config"]
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_run_k_below_one_is_usage_error(k, capsys):
+    assert cli.main(["run", str(GOLDEN / "sparse-k3.stream"),
+                     "--k", str(k)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert "k must be >= 1" in err
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_sliding_window_below_one_is_usage_error(window, tmp_path, capsys):
+    with pytest.raises(UsageError, match="window"):
+        gen_workload("sliding-window", 20, 2, 64, 2, seed=1, window=window)
+    out = tmp_path / "s.txt"
+    assert cli.main(["gen", "--mode", "sliding-window", "--n", "20",
+                     "--window", str(window), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not out.exists()

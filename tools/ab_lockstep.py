@@ -7,8 +7,11 @@ own package into this interpreter. Both are driven through perfbench's
 `Session` (the benchmark's inputs and checks, from this checkout's
 `perfbench/`) in alternating whole rounds, so machine noise falls on both
 sides alike. After the fill and after every round, the two sides must agree
-on the solution after every update, the recourse and the checkpoint cost
-ratios; any difference, or a failed benchmark check, exits 1. The summed
+on the solution after every update, the recourse, the checkpoint cost
+ratios and the state of every controller's random generator (the
+controller, or the runner's primary and verifiers), so a change in the
+number of draws shows at the round it happens in; any difference, or a
+failed benchmark check, exits 1. The summed
 update times of the timed rounds give the printed ratio and gain.
 """
 
@@ -56,6 +59,12 @@ class Recording(Session):
         self.trail.update(repr(sorted(self.prev)).encode())
 
 
+def rng_states(side: Recording) -> list:
+    t = side.target
+    controllers = [t.primary, *t.copies] if side.sparse else [t]
+    return [c.rng.getstate() for c in controllers]
+
+
 def differences(a: Recording, b: Recording) -> list:
     out = []
     for side in (a, b):
@@ -68,6 +77,8 @@ def differences(a: Recording, b: Recording) -> list:
         out.append(f"recourse {a.recourse} != {b.recourse}")
     if a.ratios != b.ratios:
         out.append("cost ratios differ")
+    if rng_states(a) != rng_states(b):
+        out.append("controller rng states differ")
     return out
 
 
@@ -103,7 +114,7 @@ def main(argv=None) -> int:
     ta, tb = sum(a.times) / 1e9, sum(b.times) / 1e9
     n = len(a.times)
     print(f"{w.name} seed {args.seed}: {args.rounds} rounds, {n} timed "
-          f"updates per side, outputs identical")
+          f"updates per side, outputs identical, rng states identical")
     print(f"A {ta:.3f} s ({n / ta:.1f} updates/s)  "
           f"B {tb:.3f} s ({n / tb:.1f} updates/s)")
     print(f"time ratio B/A {tb / ta:.4f}  updates/s gain {ta / tb - 1:+.1%}")
