@@ -300,19 +300,17 @@ def restricted_kmeans(ctx, r: int, rng, ordering=None):
 def replay_restricted_draws(ctx, r: int, rng) -> bool:
     """Advance rng by exactly the rng.random() calls restricted_kmeans(ctx,
     r, rng) makes, without solving, when that count is known; returns
-    whether it did. A caller that already knows the call's result is of no
-    use (the epoch controller's ruled-out ell trials) keeps the draws of
-    every later call unchanged this way.
+    whether it did. A caller that does not need the call's result (the
+    epoch controller's ruled-out ell trials) keeps the draws of every later
+    call unchanged this way.
 
-    The count is known when
+    The count is known, |S| - r, when
     - 6r >= |S|: the sketch is all of S, distinct points, with no ANN query;
     - |S| <= _EXHAUSTIVE_LIMIT: the local search scans every candidate and
       draws nothing;
-    - at least |S| - r centers have positive weight: seeding then draws
-      once per survivor, since until |S| - r are chosen some unchosen
-      center still has positive weight, so positive mass, and the
-      remaining mass never reaches zero.
-    Seeding then makes |S| - r draws and the whole call makes no other."""
+    - at least |S| - r centers have positive weight: until |S| - r are
+      chosen some unchosen center has positive weight, so positive mass,
+      and seeding draws once per survivor."""
     S = ctx.centers()
     n = len(S)
     keep = n - r
