@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .errors import UsageError
-from .harness import run_stream, time_naive_recompute
+from .harness import measure_growth, run_stream
 from .params import Params
 from .verify import SUITES, run_suite
 from .workload import MODES, UpdateStream, gen_workload
@@ -19,17 +18,10 @@ from .workload import MODES, UpdateStream, gen_workload
 PARAM_KEYS = {"epsilon": float, "d": int, "delta": int, "lambda_cap": int,
               "colors": int, "seed": int}
 
-SCHED_KEYS = {"ell_stop_factor": float, "ell_shrink": float,
-              "augment_per_update": float, "makerobust_div": float,
-              "robust_div": float, "contamination_offset": float,
-              "d2_samples": int, "t_cap": int}
-
-CONFIG_KEYS = set(PARAM_KEYS) | {f"sched.{key}" for key in SCHED_KEYS}
-
 
 def load_config(path: str) -> dict:
-    """key=value lines; a key that is neither a parameter nor `sched.<entry>`
-    is a usage error that names it, so a misspelt key is never ignored."""
+    """key=value lines; a key that is not a Params value is a usage error
+    that names it, so a misspelt key is never ignored."""
     cfg = {}
     with open(path) as fh:
         for raw in fh:
@@ -38,7 +30,7 @@ def load_config(path: str) -> dict:
                 continue
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
+            if key not in PARAM_KEYS:
                 raise UsageError(f"unknown config key {key!r}")
             cfg[key] = value.strip()
     return cfg
@@ -52,14 +44,6 @@ def config_value(cfg: dict, key: str, cast):
     except ValueError:
         raise UsageError(f"config key {key}: cannot read {cfg[key]!r} as "
                          f"{cast.__name__}") from None
-
-
-def sched_overrides_from(cfg: dict) -> dict:
-    out = {}
-    for key, cast in SCHED_KEYS.items():
-        if f"sched.{key}" in cfg:
-            out[key] = config_value(cfg, f"sched.{key}", cast)
-    return out
 
 
 def params_from(cfg: dict, args) -> Params:
@@ -100,10 +84,10 @@ def main(argv=None) -> int:
     r.add_argument("--k", type=int, default=None)
     r.add_argument("--baseline-every", type=int, default=100)
     r.add_argument("--out", default=None, help="metrics CSV path")
-    r.add_argument("--witness", action="store_true")
     r.add_argument("--fixed-time", action="store_true",
                    help="deterministic time column for reproducible files")
-    r.add_argument("--alpha", type=float, default=25.0)
+    r.add_argument("--alpha", type=float, default=None,
+                   help="reset threshold of --mode sparsified (default 25)")
     r.add_argument("--delta", type=int, default=None)
     r.add_argument("--jl-dim", type=int, default=None,
                    help="project incoming points to this dimension first")
@@ -149,6 +133,8 @@ def main(argv=None) -> int:
             k = args.k if args.k is not None else stream.k_hint
             if k < 1:
                 raise UsageError(f"k must be >= 1, got {k}")
+            if args.alpha is not None and args.mode != "sparsified":
+                raise UsageError("--alpha applies to --mode sparsified only")
             time_source = None
             if args.fixed_time:
                 counter = [0]
@@ -158,9 +144,8 @@ def main(argv=None) -> int:
                     return counter[0]
             result = run_stream(stream, params, k, mode=args.mode,
                                 baseline_every=args.baseline_every,
-                                witness=args.witness, time_source=time_source,
-                                alpha=args.alpha,
-                                sched_overrides=sched_overrides_from(cfg),
+                                time_source=time_source,
+                                alpha=25.0 if args.alpha is None else args.alpha,
                                 jl_dim=args.jl_dim)
             if args.out:
                 with open(args.out, "w") as fh:
@@ -182,17 +167,8 @@ def main(argv=None) -> int:
 
         if args.cmd == "bench":
             params = params_from(cfg, args)
-            out = {}
-            for tag, n in (("small", args.n_small), ("large", args.n_large)):
-                stream = gen_workload("clustered", n, args.d, args.delta,
-                                      args.k, seed=params.seed)
-                t0 = time.perf_counter()
-                res = run_stream(stream, params, args.k, baseline_every=max(1, n // 10))
-                out[f"time_{tag}_us"] = res.summary["amortized_time_us"]
-                out[f"naive_{tag}_s"] = time_naive_recompute(stream, params, args.k)
-                out[f"wall_{tag}_s"] = time.perf_counter() - t0
-            out["growth_alg"] = out["time_large_us"] / max(out["time_small_us"], 1e-9)
-            out["growth_naive"] = out["naive_large_s"] / max(out["naive_small_s"], 1e-12)
+            out = measure_growth(params, args.k, args.n_small, args.n_large,
+                                 stream_seed=params.seed)
             for key in sorted(out):
                 print(f"{key}={out[key]}")
             return 0

@@ -341,15 +341,18 @@ class DynamicKMeans(ClusterContext):
         """make_robust every fresh or contaminated center, then drain the
         yellow queue that the center index's flip events fill.
 
-        The queue's _make_robust path is unreachable under the default
-        schedule: the largest finite dhat, 3*gamma*2^L, has check level 0
-        against robust_div = lam^10, so no held level is below it (no golden
-        stream makes a yellow call, the certificate schedule's included).
-        The indicator events, type3_chain and the chain checks guard that
-        path for schedule overrides that reach it.
+        The queue calls _make_robust only on a center whose dhat's check
+        level (against robust_div) is above the level make_robust gave it
+        (against makerobust_div). Over every finite dhat, _bound(e), the
+        check level is 0 under the default schedule (robust_div = lam^10);
+        under the certificate schedule (verify.cert_schedule) it is at most
+        the make level, 1, at d=2 with delta 256 or 1024 and at d=8 with
+        delta 1024, and at d=2 it reaches 2 from delta=4096 on. No golden
+        stream makes a yellow call; the indicator events, type3_chain and
+        the chain checks guard the path for grids that reach it.
         tests/test_params.py::test_no_reachable_dhat_reaches_a_yellow_makerobust
-        pins the premise, on which CenterIndex staging leaves staged flips
-        out of the event log.
+        and its certificate-schedule case pin the premise, on which
+        CenterIndex staging leaves staged flips out of the event log.
         """
         produced = set()
         for u in sorted(fresh | contaminated):

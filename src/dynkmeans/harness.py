@@ -9,11 +9,11 @@ from dataclasses import dataclass, replace
 from .controller import DynamicKMeans
 from .errors import UsageError
 from .geometry import WeightedSet, jl_project, make_jl_matrix
-from .params import Params, schedule_for
+from .params import ExponentSchedule, Params
 from .rng import make_np_rng, make_rng
 from .sparsifier import SparsifiedRunner
 from .subroutines import static_weighted_kmeans
-from .workload import UpdateStream
+from .workload import UpdateStream, gen_workload
 
 METRICS_COLUMNS = (
     "update_index", "op_kind", "cost_alg", "cost_baseline", "ratio",
@@ -64,18 +64,21 @@ def baseline_solve(X: WeightedSet, k: int, rng) -> float:
 
 def run_stream(stream: UpdateStream, params: Params, k: int,
                mode: str = "direct", baseline_every: int = 100,
-               witness: bool = False, time_source=None,
-               alpha: float = 25.0,
-               verifiers: int | None = None, sched_overrides=None,
+               time_source=None, alpha: float = 25.0,
+               verifiers: int | None = None,
+               sched: ExponentSchedule | None = None,
                jl_dim: int | None = None) -> RunResult:
     """Replay a stream through the controller (direct) or the sparsified
     runner; one metrics row per update, baseline re-solves at checkpoints.
 
-    jl_dim projects every incoming point (treated as a raw real vector)
-    down to that dimension before it reaches the algorithm.
+    sched replaces the direct controller's schedule (the sparsified runner's
+    controllers keep the default). jl_dim projects every incoming point
+    (treated as a raw real vector) down to that dimension first.
     """
     if mode not in ("direct", "sparsified"):
         raise UsageError(f"unknown mode {mode!r}")
+    if sched is not None and mode != "direct":
+        raise UsageError("a schedule applies to mode 'direct' only")
     if baseline_every < 1:
         raise UsageError(f"baseline_every must be >= 1, got {baseline_every!r}")
     clock = time_source or time.perf_counter_ns
@@ -89,13 +92,9 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
         jl_matrix = make_jl_matrix(stream.d, jl_dim,
                                    make_np_rng(params.seed, "jl"))
 
-    sched = None
-    if sched_overrides:
-        sched = replace(schedule_for(params), **sched_overrides)
-
     direct = mode == "direct"
     if direct:
-        target = DynamicKMeans(params, k, witness=witness, sched=sched)
+        target = DynamicKMeans(params, k, sched=sched)
     else:
         target = SparsifiedRunner(params, k, n_hint=max(stream.n, 16),
                                   alpha=alpha, verifiers=verifiers)
@@ -213,3 +212,22 @@ def time_naive_recompute(stream: UpdateStream, params: Params, k: int,
     if not solves:
         return 0.0
     return solve_ns / solves / 1e9
+
+
+def measure_growth(params: Params, k: int, n_small: int, n_large: int,
+                   stream_seed: int) -> dict:
+    """Per-update time of the controller and of recompute-from-scratch on
+    clustered streams of n_small and n_large updates, and their growth."""
+    out = {}
+    for tag, n in (("small", n_small), ("large", n_large)):
+        stream = gen_workload("clustered", n, params.d, params.delta, k,
+                              seed=stream_seed)
+        t0 = time.perf_counter()
+        res = run_stream(stream, params, k, baseline_every=n + 1)
+        out[f"time_{tag}_us"] = res.summary["amortized_time_us"]
+        out[f"naive_{tag}_s"] = time_naive_recompute(
+            stream, params, k, sample_every=max(50, n // 20))
+        out[f"wall_{tag}_s"] = time.perf_counter() - t0
+    out["growth_alg"] = out["time_large_us"] / max(out["time_small_us"], 1e-9)
+    out["growth_naive"] = out["naive_large_s"] / max(out["naive_small_s"], 1e-12)
+    return out

@@ -24,24 +24,20 @@ from .range_query import CenterIndex
 _EXHAUSTIVE_LIMIT = 128   # below this support size, scan all swap candidates
 
 
-def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng,
-                      D: np.ndarray | None = None) -> list:
+def weighted_kmeanspp(pts: np.ndarray, w: np.ndarray, k: int, rng) -> list:
     """Seeding: first center by weight, then by weight times squared distance.
 
     The sampled mass is kept as a running minimum over the rows w * d2(., c)
     of the chosen centers; for w >= 0 that is bitwise w times the running
-    minimum distance. D, when given, is pairwise_d2(pts, pts), whose rows
-    replace the per-center distance computation."""
-    if D is None:
-        def wrow(c):
-            return w * pairwise_d2(pts[c, None], pts)[0]
-    else:
-        wrow = (D * w).__getitem__
+    minimum distance."""
+    def wrow(c):
+        return w * pairwise_d2(pts[c, None], pts)[0]
     return _seed(wrow, w, k, rng)
 
 
 def _seed(wrow, w: np.ndarray, k: int, rng) -> list:
-    """weighted_kmeanspp over the weighted distance rows wrow(c)."""
+    """weighted_kmeanspp over the weighted distance rows wrow(c); a caller
+    holding the matrix D = pairwise_d2(pts, pts) passes (D * w).__getitem__."""
     n = w.shape[0]
     wsum = np.add.reduce(w)
     if wsum > 0:

@@ -111,7 +111,9 @@ def gen_workload(mode: str, n: int, d: int, delta: int, k: int,
         raise UsageError(f"unknown mode {mode!r}")
     if n < 0 or d < 1 or delta < 2 or k < 1 or not (0.0 <= ins_frac <= 1.0):
         raise UsageError("infeasible workload spec")
-    if mode == "sliding-window" and window is not None and window < 1:
+    if window is not None and mode != "sliding-window":
+        raise UsageError(f"window applies to sliding-window, not {mode!r}")
+    if window is not None and window < 1:
         raise UsageError(f"window must be >= 1, got {window}")
     rng = make_rng(seed, "workload", mode, n, d, delta, k)
     stream = UpdateStream(d=d, delta=delta, n=n, k_hint=k)

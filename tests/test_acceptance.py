@@ -6,7 +6,7 @@ import math
 
 from dynkmeans.assignment import AssignmentStructure
 from dynkmeans.geometry import brute_opt_augmented, cost, dist
-from dynkmeans.harness import run_stream, time_naive_recompute
+from dynkmeans.harness import measure_growth, run_stream
 from dynkmeans.params import Params
 from dynkmeans.rng import make_rng
 from dynkmeans.sparsifier import SparsifiedRunner
@@ -218,16 +218,8 @@ def test_criterion_14_end_to_end_quality():
 def test_criterion_15_sublinearity_signal():
     p = Params(epsilon=0.5, d=2, delta=256, seed=15)
     k = 5
-    times = {}
-    naive = {}
-    for n in (1000, 10000):
-        stream = gen_workload("clustered", n, 2, 256, k, ins_frac=0.7,
-                              seed=150)
-        res = run_stream(stream, p, k, baseline_every=n + 1)
-        times[n] = res.summary["amortized_time_us"]
-        naive[n] = time_naive_recompute(stream, p, k, sample_every=max(50, n // 20))
-    growth = times[10000] / max(times[1000], 1e-9)
-    naive_growth = naive[10000] / max(naive[1000], 1e-12)
+    out = measure_growth(p, k, 1000, 10000, stream_seed=150)
+    growth, naive_growth = out["growth_alg"], out["growth_naive"]
     report(15, "sublinearity signal", growth < 10.0,
            f"alg growth {growth:.2f} (soft target < 5, hard < 10); "
            f"naive recompute growth {naive_growth:.2f}")

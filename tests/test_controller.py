@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ from dynkmeans.controller import (DynamicKMeans, _removal_floors,
                                   validate_certificate)
 from dynkmeans.errors import UsageError
 from dynkmeans.geometry import WeightedSet, dist
-from dynkmeans.params import Params, schedule_for
+from dynkmeans.params import Params
 from dynkmeans.rng import make_rng
-from dynkmeans.verify import cert_controller, cert_overrides
+from dynkmeans.verify import cert_controller, cert_schedule
 from dynkmeans.workload import gen_workload
 
 P = Params(epsilon=0.5, d=2, delta=256, seed=51)
@@ -312,7 +311,7 @@ def test_solution_size_after_epochs():
 def cert_params():
     # lam >= 3*gamma and small divisors so robustness levels go above zero
     p = Params(epsilon=0.5, d=2, delta=1024, seed=52)
-    return p, replace(schedule_for(p), **cert_overrides(p))
+    return p, cert_schedule(p)
 
 
 def test_makerobust_certificates_validate():

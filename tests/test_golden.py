@@ -20,7 +20,7 @@ from dynkmeans import controller
 from dynkmeans.harness import run_stream
 from dynkmeans.params import Params
 from dynkmeans.range_query import CenterIndex
-from dynkmeans.verify import cert_overrides
+from dynkmeans.verify import cert_schedule
 from dynkmeans.workload import UpdateStream, gen_workload
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,8 +43,7 @@ CASES = {
         dict(mode="clustered", n=300, d=2, delta=1024, k=5, ins_frac=0.72,
              seed=203),
         _P_CERT,
-        dict(k=5, baseline_every=50, witness=True,
-             sched_overrides=cert_overrides(_P_CERT))),
+        dict(k=5, baseline_every=50, sched=cert_schedule(_P_CERT))),
     "sparse-k3": (
         dict(mode="clustered", n=300, d=2, delta=256, k=3, ins_frac=0.8,
              seed=204),

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dynkmeans import cli
 from dynkmeans.errors import UsageError
 from dynkmeans.harness import METRICS_COLUMNS, run_stream
-from dynkmeans.params import Params
-from dynkmeans.workload import UpdateStream, gen_workload
+from dynkmeans.params import ExponentSchedule, Params, schedule_for
+from dynkmeans.workload import MODES, UpdateStream, gen_workload
 
 P = Params(epsilon=0.5, d=2, delta=64, seed=71)
 GOLDEN = Path(__file__).parent / "golden"
@@ -268,7 +270,7 @@ def test_cli_jl_and_config(tmp_path):
                           "--d", "4", "--k", "3", "--delta", "64",
                           "--out", str(stream_path)], check=True, env=ENV)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("epsilon=0.5\nseed=9\nsched.ell_stop_factor=20\n")
+    cfg.write_text("epsilon=0.5\nseed=9\n")
     out = subprocess.run(CLI + ["--config", str(cfg), "run", str(stream_path),
                                 "--k", "3", "--jl-dim", "2", "--fixed-time",
                                 "--baseline-every", "30"],
@@ -302,7 +304,7 @@ def test_adversarial_churn_keeps_base_live():
     assert min_live_after_warmup >= 40  # persistent clustered base remains
 
 
-@pytest.mark.parametrize("line, key", [("sched.t_cap=x", "sched.t_cap"),
+@pytest.mark.parametrize("line, key", [("lambda_cap=x", "lambda_cap"),
                                        ("epsilon=abc", "epsilon")])
 def test_config_value_it_cannot_read_is_usage_error(line, key, tmp_path,
                                                     capsys):
@@ -328,6 +330,8 @@ def test_run_sparsified_bad_alpha_is_usage_error(alpha, capsys):
     ("epsilonn=0.3", "epsilonn"),               # a typo
     ("sched.t_capp=3", "sched.t_capp"),         # a typo of a schedule entry
     ("preset=paper_faithful", "preset"),        # removed keys
+    ("sched.ell_stop_factor=20", "sched.ell_stop_factor"),
+    ("sched.t_cap=3", "sched.t_cap"),
     ("gamma=8", "gamma"), ("theta=2", "theta"), ("lam=20", "lam")])
 def test_unknown_config_key_is_usage_error(line, key, tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
@@ -391,3 +395,77 @@ def test_sliding_window_below_one_is_usage_error(window, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "sliding-window"])
+def test_window_outside_sliding_window_is_usage_error(mode, tmp_path, capsys):
+    with pytest.raises(UsageError, match="window"):
+        gen_workload(mode, 20, 2, 64, 2, seed=1, window=5)
+    out = tmp_path / "s.txt"
+    assert cli.main(["gen", "--mode", mode, "--n", "20", "--window", "5",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "window" in err
+    assert not out.exists()
+
+
+def test_run_stream_sched_with_sparsified_is_usage_error():
+    stream = gen_workload("clustered", 20, 2, 64, 2, seed=1)
+    with pytest.raises(UsageError, match="schedule"):
+        run_stream(stream, P, 2, mode="sparsified", sched=schedule_for(P))
+
+
+# Every `run` option but --out and --fixed-time (which the test reads the
+# output through): a value that must change the run, and the modes it
+# applies to. In any other mode the option is a usage error.
+RUN_OPTIONS = {
+    "--k": ("2", ("direct", "sparsified")),
+    "--baseline-every": ("7", ("direct", "sparsified")),
+    "--alpha": ("1.5", ("sparsified",)),
+    # on this stream the grid reaches the run through d2_samples, which
+    # goes from 1 to 2 at delta 256
+    "--delta": ("256", ("direct", "sparsified")),
+    "--jl-dim": ("1", ("direct", "sparsified")),
+}
+
+
+def test_every_run_option_changes_the_run(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == set(RUN_OPTIONS) | {"--help", "--mode", "--out",
+                                         "--fixed-time"}
+
+    stream = tmp_path / "s.txt"
+    stream.write_text(gen_workload("clustered", 80, 2, 64, 3,
+                                   seed=6).serialize())
+    out = tmp_path / "m.csv"
+
+    def run(args):
+        code = cli.main(["run", str(stream), "--fixed-time", "--out", str(out)]
+                        + args)
+        if code:
+            return code, None
+        return code, out.read_text() + Path(f"{out}.summary").read_text()
+
+    base = {m: run(["--mode", m]) for m in ("direct", "sparsified")}
+    assert base["direct"][0] == base["sparsified"][0] == 0
+    assert base["direct"][1] != base["sparsified"][1]       # --mode
+    for opt, (value, modes) in RUN_OPTIONS.items():
+        for mode in ("direct", "sparsified"):
+            code, text = run(["--mode", mode, opt, value])
+            if mode in modes:
+                assert code == 0 and text != base[mode][1], (opt, mode)
+            else:
+                err = capsys.readouterr().err
+                assert code == 2 and err.startswith("usage error: ") \
+                    and opt in err, (opt, mode)
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(stream), "--witness"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "c.cfg"
+    for f in fields(ExponentSchedule):
+        cfg.write_text(f"sched.{f.name}=1\n")
+        assert cli.main(["--config", str(cfg), "run", str(stream)]) == 2
+        assert f"unknown config key 'sched.{f.name}'" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from dynkmeans.controller import DynamicKMeans
 from dynkmeans.errors import UsageError
 from dynkmeans.params import GAMMA_FLOOR, Params, schedule_for
+from dynkmeans.verify import cert_controller
 
 
 def test_defaults_practical():
@@ -76,3 +77,17 @@ def test_no_reachable_dhat_reaches_a_yellow_makerobust(d, delta):
     top = 3.0 * p.gamma * (1 << p.dyadic_levels)
     assert dk.cent._bound(p.dyadic_levels) == top
     assert dk._smallest_t(top, dk.sched.robust_div) == 0
+
+
+def test_no_reachable_dhat_reaches_a_yellow_makerobust_under_cert_schedule():
+    # The certificate schedule (criteria 12-13, the cert-d1024 golden) puts
+    # check levels above 0, but make_robust gives every center with a
+    # finite dhat a level at least as high as any finite dhat's check level,
+    # so the yellow queue still never calls _make_robust at d=2, delta=1024
+    # (from delta=4096 on, the top check level is 2 and this fails).
+    p = Params(epsilon=0.5, d=2, delta=1024)
+    dk = cert_controller(p)
+    bounds = [dk.cent._bound(e) for e in range(p.dyadic_levels + 1)]
+    check = max(dk._smallest_t(b, dk.sched.robust_div) for b in bounds)
+    make = min(dk._smallest_t(b, dk.sched.makerobust_div) for b in bounds)
+    assert (check, make) == (1, 1)

@@ -10,7 +10,7 @@ from dynkmeans.geometry import (brute_opt_augmented, brute_opt_restricted,
 from dynkmeans.params import Params
 from dynkmeans.rng import make_rng
 from dynkmeans.subroutines import (_EXHAUSTIVE_LIMIT, ClusterContext,
-                                   _swap_costs, augmented_kmeans,
+                                   _seed, _swap_costs, augmented_kmeans,
                                    replay_restricted_draws, restricted_kmeans,
                                    static_weighted_kmeans, weighted_kmeanspp)
 
@@ -255,9 +255,11 @@ def test_kmeanspp_matches_oracle_under_numpy_generator():
         k = rng.randint(1, len(pts))
         want_g = np.random.default_rng([33, t])
         want = _oracle_kmeanspp(pts, ws, k, want_g)
-        for D in (None, pairwise_d2(pts, pts)):
+        wD = pairwise_d2(pts, pts) * ws
+        for seed in (lambda g: weighted_kmeanspp(pts, ws, k, g),
+                     lambda g: _seed(wD.__getitem__, ws, k, g)):
             g = np.random.default_rng([33, t])
-            assert weighted_kmeanspp(pts, ws, k, g, D) == want, t
+            assert seed(g) == want, t
             assert g.bit_generator.state == want_g.bit_generator.state, t
 
 
