@@ -72,7 +72,8 @@ def main(argv=None) -> int:
     g.add_argument("--d", type=int, default=2)
     g.add_argument("--delta", type=int, default=256)
     g.add_argument("--k", type=int, default=5)
-    g.add_argument("--ins-frac", type=float, default=0.7)
+    g.add_argument("--ins-frac", type=float, default=None,
+                   help="insert share of clustered and uniform (default 0.7)")
     g.add_argument("--window", type=int, default=None)
     g.add_argument("--out", default="-")
 
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
     r.add_argument("--fixed-time", action="store_true",
                    help="deterministic time column for reproducible files")
     r.add_argument("--alpha", type=float, default=None,
-                   help="reset threshold of --mode sparsified (default 25)")
+                   help="swap threshold of --mode sparsified (default 25)")
     r.add_argument("--delta", type=int, default=None)
     r.add_argument("--jl-dim", type=int, default=None,
                    help="project incoming points to this dimension first")

@@ -65,7 +65,6 @@ def baseline_solve(X: WeightedSet, k: int, rng) -> float:
 def run_stream(stream: UpdateStream, params: Params, k: int,
                mode: str = "direct", baseline_every: int = 100,
                time_source=None, alpha: float = 25.0,
-               verifiers: int | None = None,
                sched: ExponentSchedule | None = None,
                jl_dim: int | None = None) -> RunResult:
     """Replay a stream through the controller (direct) or the sparsified
@@ -97,8 +96,8 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
         target = DynamicKMeans(params, k, sched=sched)
     else:
         target = SparsifiedRunner(params, k, n_hint=max(stream.n, 16),
-                                  alpha=alpha, verifiers=verifiers)
-    ctrl = target if direct else target.primary   # a reset replaces the primary
+                                  alpha=alpha)
+    ctrl = target if direct else target.primary   # a swap replaces the primary
     full_x = WeightedSet(params.d)   # the live input, kept on the measuring side
 
     rows = []
@@ -125,7 +124,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
         else:
             full_x.delete(key)
         if not direct:
-            resets_cum += out           # the runner returns its resets
+            resets_cum += out           # the runner returns 1 on a swap
             ctrl = target.primary
         step_recourse = len(prev_solution.symmetric_difference(solution))
         prev_solution = solution

@@ -1,5 +1,6 @@
 """From n to k: a merge-and-reduce sparsifier feeding one primary controller
-plus verification copies, with cost-based expiry of the primary solution.
+plus verification copies. When the primary's cost on U exceeds alpha times
+the best verifier's, that verifier and the primary swap places.
 
 The sparsifier keeps an insertion log in doubling blocks, placed like a
 binary counter: a full buffer is published raw at level 0 when that level is
@@ -24,8 +25,6 @@ from .geometry import WeightedSet, check_weighted_point, pairwise_d2
 from .params import Params
 from .rng import make_np_rng
 from .subroutines import weighted_kmeanspp
-
-RESET_CAP = 1000  # hard cap on same-update resets; guards a spin loop
 
 
 def sensitivity_sample(items, k: int, target: int, np_rng):
@@ -203,12 +202,12 @@ class SparsifiedRunner:
 
     def __init__(self, params: Params, k: int, n_hint: int = 1024,
                  verifiers: int | None = None, alpha: float = 25.0):
-        # the primary is reset while its cost exceeds alpha times the best
-        # verifier's: below 1 that can reset forever, and nan never resets
+        # the primary swaps with the best verifier when its cost exceeds
+        # alpha times that verifier's: one swap restores the contract only
+        # for alpha >= 1, and nan never swaps
         if not (math.isfinite(alpha) and alpha >= 1):
             raise UsageError(f"alpha must be finite and >= 1, got {alpha!r}")
         self.params = params
-        self.k = k
         self.alpha = alpha
         if verifiers is None:
             verifiers = max(2, min(8, math.ceil(math.log2(max(n_hint, 4)))))
@@ -219,7 +218,6 @@ class SparsifiedRunner:
         self.primary = DynamicKMeans(params, k, seed_tag=("primary", 0))
         self.copies = [DynamicKMeans(params, k, seed_tag=("verify", i))
                        for i in range(verifiers)]
-        self.resets_cum = 0        # also numbers the primary's seed tag
 
     def _feed(self, deltas):
         for op, uid, p, w in deltas:
@@ -244,18 +242,11 @@ class SparsifiedRunner:
     def estimate(self) -> float:
         return min(self._cost_on_U(c.solution()) for c in self.copies)
 
-    def _reset_primary(self):
-        self.resets_cum += 1
-        self.primary = DynamicKMeans(self.params, self.k,
-                                     seed_tag=("primary", self.resets_cum))
-        for uid, (p, w) in list(self.U.entries.items()):
-            self.primary.update("insert", uid, p, w)
-
     def update(self, op: str, key, point=None, weight=1.0) -> int:
-        """Apply one input update; returns the number of primary resets.
-        Bad input changes nothing: the point (d coordinates on the grid) and
-        weight are checked here and the key by the sparsifier, before either
-        changes state."""
+        """Apply one input update; returns 1 when the primary swapped places
+        with the best verifier, else 0. Bad input changes nothing: the point
+        (d coordinates on the grid) and weight are checked here and the key
+        by the sparsifier, before either changes state."""
         if op == "insert":
             check_weighted_point(point, weight, self.params.d,
                                  self.params.delta)
@@ -266,17 +257,14 @@ class SparsifiedRunner:
             raise UsageError(f"unknown op {op!r}")
         self._feed(deltas)
         est = self.estimate()
-        resets = 0
-        while self._cost_on_U(self.primary.solution()) > self.alpha * est:
-            if resets >= RESET_CAP:
-                raise RuntimeError(
-                    "primary reset loop exceeded the hard cap; "
-                    f"cost={self._cost_on_U(self.primary.solution()):.4g} "
-                    f"alpha*est={self.alpha * est:.4g}")
-            self._reset_primary()
-            resets += 1
-            est = self.estimate()
-        return resets
+        if self._cost_on_U(self.primary.solution()) <= self.alpha * est:
+            return 0
+        # the new primary costs est; the new minimum over the verifiers is
+        # at least est, since the old primary cost more than alpha*est
+        i = min(range(len(self.copies)),
+                key=lambda j: self._cost_on_U(self.copies[j].solution()))
+        self.primary, self.copies[i] = self.copies[i], self.primary
+        return 1
 
     def solution(self) -> frozenset:
         return self.primary.solution()

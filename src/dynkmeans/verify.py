@@ -416,8 +416,8 @@ def check_sparsified(runner, stream):
     """Criterion 16: replay `stream` through a SparsifiedRunner. After every
     update the primary's cost on U stays within alpha times the verifier
     minimum, and |U| within u_size_bound for the stream's length. Returns
-    (contract violations, size violations, most primary resets in one
-    update)."""
+    (contract violations, size violations, most primary swaps in one
+    update, which is at most 1)."""
     bound = u_size_bound(runner.sparsifier, len(stream.records))
     contract_bad = size_bad = burst_max = 0
     for op, key, point, w in stream.ops():
@@ -570,7 +570,7 @@ def verify_sparsifier(seed=0):
             f"violations: {size_bad} |U|={runner.u_size()}")]
     runner.primary.solution = lambda: frozenset({(1, 1)})  # fault injection
     resets = runner.update("insert", 999999, (128, 128), 1.0)
-    out.append(("sparsifier.fault_reset", resets >= 1, f"resets={resets}"))
+    out.append(("sparsifier.fault_reset", resets == 1, f"resets={resets}"))
     return out
 
 

@@ -104,11 +104,18 @@ def _clamp(v: float, delta: int) -> int:
 
 
 def gen_workload(mode: str, n: int, d: int, delta: int, k: int,
-                 ins_frac: float = 0.7, seed: int = 0,
+                 ins_frac: float | None = None, seed: int = 0,
                  window: int | None = None) -> UpdateStream:
-    """Deterministic stream given the seed; see MODES."""
+    """Deterministic stream given the seed; see MODES. ins_frac (0.7 unless
+    given) applies to clustered and uniform only, window to sliding-window
+    only; either given to a mode that does not read it is a UsageError."""
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
+    if ins_frac is not None and mode not in ("clustered", "uniform"):
+        raise UsageError(f"ins_frac applies to clustered and uniform, "
+                         f"not {mode!r}")
+    if ins_frac is None:
+        ins_frac = 0.7
     if n < 0 or d < 1 or delta < 2 or k < 1 or not (0.0 <= ins_frac <= 1.0):
         raise UsageError("infeasible workload spec")
     if window is not None and mode != "sliding-window":

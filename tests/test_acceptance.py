@@ -185,7 +185,7 @@ def test_criterion_13_calls_once_and_chains():
     violations = []
     for seed, mode in ((113, "clustered"), (114, "adversarial-churn"),
                        (115, "uniform")):
-        stream = gen_workload(mode, 800, 2, 1024, 5, ins_frac=0.7, seed=seed)
+        stream = gen_workload(mode, 800, 2, 1024, 5, seed=seed)
         p = Params(epsilon=0.5, d=2, delta=1024, seed=seed)
         res = check_certificates(cert_controller(p), stream)
         violations.extend(res.controller.violations)

@@ -409,8 +409,7 @@ def test_contamination_uniqueness_brute_scan():
 def test_chain_instrumentation_clean_on_streams():
     p, sched = cert_params()
     dk = DynamicKMeans(p, 6, witness=False, sched=sched)
-    stream = gen_workload("adversarial-churn", 600, 2, 1024, 6,
-                          ins_frac=0.7, seed=12)
+    stream = gen_workload("adversarial-churn", 600, 2, 1024, 6, seed=12)
     drive(dk, stream)
     stream2 = gen_workload("clustered", 400, 2, 1024, 6, ins_frac=0.6, seed=13)
     dk2 = DynamicKMeans(p, 6, witness=False, sched=sched)

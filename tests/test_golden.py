@@ -48,7 +48,7 @@ CASES = {
         dict(mode="clustered", n=300, d=2, delta=256, k=3, ins_frac=0.8,
              seed=204),
         Params(epsilon=0.5, d=2, delta=256, seed=204),
-        dict(k=3, baseline_every=50, mode="sparsified", verifiers=2)),
+        dict(k=3, baseline_every=50, mode="sparsified")),
 }
 
 

@@ -180,7 +180,7 @@ def test_run_stream_direct_vs_sparsified_comparable():
     d = run_stream(stream, P, 3, mode="direct", baseline_every=50,
                    time_source=fake_clock())
     s = run_stream(stream, P, 3, mode="sparsified", baseline_every=50,
-                   time_source=fake_clock(), verifiers=2)
+                   time_source=fake_clock())
     assert d.summary["n_updates"] == s.summary["n_updates"] == 150
     assert "ratio_p50" in d.summary and "ratio_p50" in s.summary
     assert s.summary["resets_total"] >= 0
@@ -407,6 +407,30 @@ def test_window_outside_sliding_window_is_usage_error(mode, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "window" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["sliding-window", "adversarial-churn"])
+def test_ins_frac_outside_clustered_and_uniform_is_usage_error(
+        mode, tmp_path, capsys):
+    with pytest.raises(UsageError, match="ins_frac"):
+        gen_workload(mode, 20, 2, 64, 2, ins_frac=0.7, seed=1)
+    out = tmp_path / "s.txt"
+    assert cli.main(["gen", "--mode", mode, "--n", "20", "--ins-frac", "0.2",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "ins_frac" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["clustered", "uniform"])
+def test_ins_frac_defaults_to_0_7_and_changes_the_stream(mode, tmp_path):
+    def gen(*extra):
+        out = tmp_path / "s.txt"
+        assert cli.main(["gen", "--mode", mode, "--n", "40", *extra,
+                         "--out", str(out)]) == 0
+        return out.read_text()
+    assert gen() == gen("--ins-frac", "0.7")
+    assert gen() != gen("--ins-frac", "0.2")
 
 
 def test_run_stream_sched_with_sparsified_is_usage_error():

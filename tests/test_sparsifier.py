@@ -2,12 +2,13 @@ import math
 
 import pytest
 
+from dynkmeans import cli
 from dynkmeans.errors import UsageError
 from dynkmeans.params import Params
 from dynkmeans.sparsifier import (MergeReduceSparsifier, SparsifiedRunner,
                                   sensitivity_sample)
 from dynkmeans.rng import make_np_rng, make_rng
-from dynkmeans.verify import u_size_bound
+from dynkmeans.verify import check_sparsified, u_size_bound
 from dynkmeans.workload import gen_workload
 
 P = Params(epsilon=0.5, d=2, delta=256, seed=61)
@@ -169,12 +170,12 @@ def test_runner_alpha_must_be_finite_and_at_least_one(alpha):
 def test_runner_small_x_equals_solution():
     runner = SparsifiedRunner(P, k=5, n_hint=64, verifiers=2)
     pts = [(10, 10), (50, 50), (90, 90)]
+    swaps = 0
     for i, p in enumerate(pts):
-        resets = runner.update("insert", i, p, 1.0)
-        assert resets == 0
+        swaps += runner.update("insert", i, p, 1.0)
     assert runner.solution() == frozenset(pts)
     assert runner.u_size() == 3
-    assert runner.resets_cum == 0
+    assert swaps == 0
 
 
 def test_runner_contract_and_size_over_stream():
@@ -193,9 +194,9 @@ def test_runner_contract_and_size_over_stream():
 def test_runner_equal_cost_verifiers_no_reset():
     runner = SparsifiedRunner(P, k=3, n_hint=64, verifiers=3, alpha=25.0)
     stream = gen_workload("clustered", 150, 2, 256, 3, ins_frac=1.0, seed=4)
-    for op, key, point, w in stream.ops():
-        runner.update(op, key, point, w)
-    assert runner.resets_cum == 0
+    swaps = sum(runner.update(op, key, point, w)
+                for op, key, point, w in stream.ops())
+    assert swaps == 0
 
 
 def test_runner_fresh_empty_solution():
@@ -204,13 +205,39 @@ def test_runner_fresh_empty_solution():
     assert runner.u_size() == 0
 
 
-def test_runner_fault_injection_resets():
+def test_runner_fault_injection_swaps_with_best_verifier():
     runner = SparsifiedRunner(P, k=4, n_hint=128, verifiers=2, alpha=20.0)
     stream = gen_workload("clustered", 150, 2, 256, 4, ins_frac=1.0, seed=5)
     for op, key, point, w in stream.ops():
         runner.update(op, key, point, w)
-    runner.primary.solution = lambda: frozenset({(1, 1)})
-    resets = runner.update("insert", 10 ** 6, (200, 200), 1.0)
-    assert resets >= 1
+    verifiers = list(runner.copies)
+    faulted = runner.primary
+    faulted.solution = lambda: frozenset({(1, 1)})
+    assert runner.update("insert", 10 ** 6, (200, 200), 1.0) == 1
+    # the new primary is the verifier that attained the minimum on U
+    cost = {id(c): runner._cost_on_U(c.solution()) for c in verifiers}
+    assert any(runner.primary is c for c in verifiers)
+    assert cost[id(runner.primary)] == min(cost.values())
+    # the faulted controller took its place, and none was built
+    assert runner.copies[verifiers.index(runner.primary)] is faulted
+    assert ({id(runner.primary), *map(id, runner.copies)}
+            == {id(faulted), *map(id, verifiers)})
     assert runner.contract_holds()
     assert runner.solution() != frozenset({(1, 1)})
+
+
+@pytest.mark.parametrize("alpha", ["1", "1.2", "1.5"])
+def test_runner_meets_contract_in_one_swap(alpha, tmp_path):
+    """At alpha = 1 this stream used to end in a reset loop that hit its
+    cap; a swap restores the contract in one step for every alpha >= 1."""
+    stream = gen_workload("clustered", 80, 2, 64, 3, seed=6)
+    path = tmp_path / "s.txt"
+    path.write_text(stream.serialize())
+    assert cli.main(["run", str(path), "--mode", "sparsified",
+                     "--alpha", alpha, "--fixed-time", "--k", "3",
+                     "--delta", "64"]) == 0
+    runner = SparsifiedRunner(Params(d=2, delta=64), 3, n_hint=80,
+                              alpha=float(alpha))
+    contract_bad, size_bad, burst = check_sparsified(runner, stream)
+    assert contract_bad == 0 and size_bad == 0
+    assert burst <= 1
