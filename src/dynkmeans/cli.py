@@ -46,6 +46,13 @@ def config_value(cfg: dict, key: str, cast):
                          f"{cast.__name__}") from None
 
 
+def seed_from(cfg: dict, args) -> int:
+    """--seed, else the config's seed, else 0."""
+    if args.seed is not None:
+        return args.seed
+    return config_value(cfg, "seed", int) if "seed" in cfg else 0
+
+
 def params_from(cfg: dict, args) -> Params:
     kw = {}
     for key, cast in PARAM_KEYS.items():
@@ -102,19 +109,17 @@ def main(argv=None) -> int:
     b.add_argument("--k", type=int, default=5)
     b.add_argument("--n-small", type=int, default=1000)
     b.add_argument("--n-large", type=int, default=10000)
-    b.add_argument("--d", type=int, default=2)
-    b.add_argument("--delta", type=int, default=256)
+    # unset: the config's d and delta, else the Params defaults
+    b.add_argument("--d", type=int, default=None)
+    b.add_argument("--delta", type=int, default=None)
 
     try:
         args = ap.parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
         if args.cmd == "gen":
-            if args.seed is not None:
-                seed = args.seed
-            else:
-                seed = config_value(cfg, "seed", int) if "seed" in cfg else 0
             stream = gen_workload(args.mode, args.n, args.d, args.delta,
-                                  args.k, ins_frac=args.ins_frac, seed=seed,
+                                  args.k, ins_frac=args.ins_frac,
+                                  seed=seed_from(cfg, args),
                                   window=args.window)
             text = stream.serialize()
             if args.out == "-":
@@ -157,7 +162,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.cmd == "verify":
-            results = run_suite(args.suite, seed=args.seed or 0,
+            results = run_suite(args.suite, seed=seed_from(cfg, args),
                                 lambda_cap=args.lambda_cap)
             failed = 0
             for name, ok, detail in results:

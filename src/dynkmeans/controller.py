@@ -22,8 +22,7 @@ from .geometry import WeightedSet, check_weighted_point, dist
 from .params import Params, schedule_for
 from .range_query import BallOneMeans, CenterIndex, MomentSummary
 from .rng import make_rng
-from .subroutines import (ClusterContext, augmented_kmeans,
-                          replay_restricted_draws, restricted_kmeans,
+from .subroutines import (ClusterContext, augmented_kmeans, restricted_kmeans,
                           static_weighted_kmeans)
 
 
@@ -60,6 +59,8 @@ class DynamicKMeans(ClusterContext):
         self.sched = sched if sched is not None else schedule_for(params)
         self.witness = witness
         self.rng = make_rng(params.seed, "controller", seed_tag)
+        # the ell-estimate's trials only: skipping one moves no other draw
+        self.ell_rng = make_rng(params.seed, "controller", seed_tag, "ell")
 
         super().__init__(
             AssignmentStructure(params, seed_tag=(seed_tag, "assign")),
@@ -232,9 +233,8 @@ class DynamicKMeans(ClusterContext):
         """(ell_hat, ell) for S_init. `ordering`, when given, is a callable
         that returns self.ordering() of the current context.
 
-        A trial that a lower bound proves will fail is not solved; its
-        random draws are replayed (replay_restricted_draws) where their
-        count is known without solving, so every output is the same. The
+        Trials draw from self.ell_rng alone, so a trial that a lower bound
+        proves will fail is not solved, and no other draw moves. The
         bound: cost(X, S - R) >= floor(|R|) = base + the sum of the |R|
         smallest inc_c, where inc_c sums w(x) * (second-nearest minus
         nearest squared distance) over the points x whose nearest center
@@ -273,10 +273,9 @@ class DynamicKMeans(ClusterContext):
             s_i = 1 << i
             if s_i > limit:
                 break
-            if (floors[s_i - 1] > ruled_out
-                    and replay_restricted_draws(self, s_i, self.rng)):
+            if floors[s_i - 1] > ruled_out:
                 break
-            removed = restricted_kmeans(self, s_i, self.rng, ordering())
+            removed = restricted_kmeans(self, s_i, self.ell_rng, ordering())
             keep = [j for j, c in enumerate(cols) if c not in removed]
             cost_i = float(np.dot(w, d2[:, keep].min(axis=1)))
             if cost_i > thr:

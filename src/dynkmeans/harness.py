@@ -102,6 +102,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
 
     rows = []
     recourse_cum = 0
+    makerobust_cum = 0
     resets_cum = 0
     time_update_ns = 0
     time_baseline_ns = 0
@@ -114,6 +115,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
     for idx, (op, key, point, weight) in enumerate(stream.ops(), start=1):
         if jl_matrix is not None and point is not None:
             point = jl_project(point, jl_matrix, params.delta)
+        mr_before = ctrl.makerobust_cum
         t0 = clock()
         out = target.update(op, key, point, weight)
         solution = target.solution()
@@ -123,6 +125,8 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
             full_x.insert(key, tuple(point), weight)
         else:
             full_x.delete(key)
+        # the calls of the controller that was primary while the update ran
+        makerobust_cum += ctrl.makerobust_cum - mr_before
         if not direct:
             resets_cum += out           # the runner returns 1 on a swap
             ctrl = target.primary
@@ -149,7 +153,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
             "ratio": ratio,
             "recourse_step": step_recourse,
             "recourse_cum": recourse_cum,
-            "makerobust_cum": ctrl.makerobust_cum,
+            "makerobust_cum": makerobust_cum,
             "resets_cum": resets_cum,
             "time_us": (t1 - t0) // 1000,
             "n_live": n_live,
@@ -166,7 +170,7 @@ def run_stream(stream: UpdateStream, params: Params, k: int,
         "amortized_time_us": time_update_ns / 1000 / n_updates,
         "time_updates_s": time_update_ns / 1e9,
         "time_baseline_s": time_baseline_ns / 1e9,
-        "makerobust_per_update": ctrl.makerobust_cum / n_updates,
+        "makerobust_per_update": makerobust_cum / n_updates,
         "resets_total": resets_cum,
         "ratio_p50": _pct(finite, 0.5),
         "ratio_p95": _pct(finite, 0.95),
@@ -216,7 +220,14 @@ def time_naive_recompute(stream: UpdateStream, params: Params, k: int,
 def measure_growth(params: Params, k: int, n_small: int, n_large: int,
                    stream_seed: int) -> dict:
     """Per-update time of the controller and of recompute-from-scratch on
-    clustered streams of n_small and n_large updates, and their growth."""
+    clustered streams of n_small and n_large updates, and their growth.
+    Below 50 updates the recompute side takes no sample, so n_small must
+    be at least 50, and n_large above it."""
+    if n_small < 50:
+        raise UsageError(f"n_small must be >= 50, got {n_small}")
+    if n_large <= n_small:
+        raise UsageError(f"n_large must be above n_small ({n_small}), "
+                         f"got {n_large}")
     out = {}
     for tag, n in (("small", n_small), ("large", n_large)):
         stream = gen_workload("clustered", n, params.d, params.delta, k,

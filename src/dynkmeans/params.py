@@ -71,8 +71,13 @@ class Params:
         if self.lambda_cap == 0:
             # per-color budget tracks the measured cell-count growth,
             # exponential in d / gamma^(2/3) with a poly(d) prefactor
-            budget = math.ceil(6 * gamma * self.d
-                               * 2.0 ** (self.d / gamma ** (2.0 / 3.0)))
+            try:
+                budget = math.ceil(6 * gamma * self.d
+                                   * 2.0 ** (self.d / gamma ** (2.0 / 3.0)))
+            except OverflowError:
+                raise UsageError(
+                    f"d={self.d} is too large: the default lambda_cap "
+                    "overflows a float") from None
             object.__setattr__(self, "lambda_cap", self.colors * budget)
         if self.lambda_cap < 1:
             raise UsageError("lambda_cap must be >= 1")

@@ -293,32 +293,6 @@ def restricted_kmeans(ctx, r: int, rng, ordering=None):
     return set(sorted(removed)[:r])
 
 
-def replay_restricted_draws(ctx, r: int, rng) -> bool:
-    """Advance rng by exactly the rng.random() calls restricted_kmeans(ctx,
-    r, rng) makes, without solving, when that count is known; returns
-    whether it did. A caller that does not need the call's result (the
-    epoch controller's ruled-out ell trials) keeps the draws of every later
-    call unchanged this way.
-
-    The count is known, |S| - r, when
-    - 6r >= |S|: the sketch is all of S, distinct points, with no ANN query;
-    - |S| <= _EXHAUSTIVE_LIMIT: the local search scans every candidate and
-      draws nothing;
-    - at least |S| - r centers have positive weight: until |S| - r are
-      chosen some unchosen center has positive weight, so positive mass,
-      and seeding draws once per survivor."""
-    S = ctx.centers()
-    n = len(S)
-    keep = n - r
-    if not (1 <= r < n) or 6 * r < n or n > _EXHAUSTIVE_LIMIT:
-        return False
-    if sum(1 for s in S if ctx.weight(s) > 0) < keep:
-        return False
-    for _ in range(keep):
-        rng.random()
-    return True
-
-
 def augmented_kmeans(ctx, a: int, t: int, rng):
     """(a + 1) rounds of t distance-squared draws, feeding each round's batch
     back into the sampled center set, where the samples stay as staged

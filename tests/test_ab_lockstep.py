@@ -39,16 +39,19 @@ def test_lockstep_fails_when_solutions_differ(tmp_path):
 
 
 def test_lockstep_fails_when_rng_draws_differ(tmp_path):
-    # one extra draw per epoch start: reported as a random-state difference
-    pkg = tmp_path / "src" / "dynkmeans"
-    shutil.copytree(ROOT / "src" / "dynkmeans", pkg,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    ctl = pkg / "controller.py"
-    text = ctl.read_text()
-    anchor = "        self.S_init = frozenset(self.cent.centers)\n"
-    assert text.count(anchor) == 1
-    extra = "        self.rng.random()\n"
-    ctl.write_text(text.replace(anchor, anchor + extra))
-    out = lockstep(ROOT, tmp_path)
-    assert out.returncode == 1
-    assert "rng" in out.stderr
+    # one extra draw per epoch start, from either of a controller's
+    # generators: reported as a random-state difference
+    for gen in ("rng", "ell_rng"):
+        root = tmp_path / gen
+        pkg = root / "src" / "dynkmeans"
+        shutil.copytree(ROOT / "src" / "dynkmeans", pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        ctl = pkg / "controller.py"
+        text = ctl.read_text()
+        anchor = "        self.S_init = frozenset(self.cent.centers)\n"
+        assert text.count(anchor) == 1
+        extra = f"        self.{gen}.random()\n"
+        ctl.write_text(text.replace(anchor, anchor + extra))
+        out = lockstep(ROOT, root)
+        assert out.returncode == 1, gen
+        assert "rng" in out.stderr, gen

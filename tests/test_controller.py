@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynkmeans import controller
 from dynkmeans.controller import (DynamicKMeans, _removal_floors,
                                   validate_certificate)
 from dynkmeans.errors import UsageError
@@ -218,6 +219,31 @@ def test_estimate_ell_large_when_removal_free():
     dk.S_init = frozenset(dk.cent.centers)
     ell_hat, ell = dk._estimate_ell()
     assert ell_hat >= (len(dk.S_init) - 1) // 4
+
+
+def test_ell_trials_leave_the_controller_generator_alone(monkeypatch):
+    # the trials draw from ell_rng alone, so whether a trial is solved or
+    # ruled out, the shrink and the epoch end draw the same from rng
+    solved = []
+    solve = controller.restricted_kmeans
+
+    def restricted(ctx, r, rng, ordering=None):
+        solved.append(r)
+        return solve(ctx, r, rng, ordering)
+
+    monkeypatch.setattr(controller, "restricted_kmeans", restricted)
+    k = 9
+    dk = DynamicKMeans(P, k)
+    for idx in range(40):
+        dk.update("insert", idx, (128, 128), 1.0)
+    for i in range(k + 1):
+        dk.update("insert", 40 + i, (i * 25 + 1, 3), 0.0)
+    assert dk.active
+    dk.S_init = frozenset(dk.cent.centers)
+    state = dk.rng.getstate()
+    dk._estimate_ell()
+    assert solved
+    assert dk.rng.getstate() == state
 
 
 def test_estimate_ell_trace_practical_threshold():

@@ -158,33 +158,42 @@ def test_staging_dhat_and_epoch_ordering_match_their_oracles(name,
 
 @pytest.mark.parametrize("name", ["sparse-k3", "window-k20"])
 def test_ruled_out_ell_trials_would_fail(name, monkeypatch):
-    # _estimate_ell asks for a replay only for a trial its lower bound rules
-    # out. Solve each such trial anyway, on a copy of the generator: it must
-    # fail the stop rule, and a replay that acts must leave the generator
-    # where the real call leaves it. The replay must still match the golden.
+    # _estimate_ell stops without solving a trial only when its lower bound
+    # rules the trial out. Solve each such trial anyway, on a copy of the
+    # trials' generator: it must fail the stop rule. The replay must still
+    # match the golden.
     seen = Counter()
-    real = controller.replay_restricted_draws
+    solved = []
+    solve = controller.restricted_kmeans
+    estimate = controller.DynamicKMeans._estimate_ell
 
-    def checked(ctx, r, rng):
-        oracle = copy.deepcopy(rng)
-        removed = controller.restricted_kmeans(ctx, r, oracle,
-                                               ctx.ordering())
-        base = ctx.X.cost(ctx.S_init)
-        cost = ctx.X.cost(ctx.S_init - removed)
-        assert cost > ctx.sched.ell_stop_factor * base, (r, cost, base)
-        acted = real(ctx, r, rng)
-        if acted:
-            assert rng.getstate() == oracle.getstate()
-        seen["acted" if acted else "declined"] += 1
-        return acted
+    def restricted(ctx, r, rng, ordering=None):
+        if rng is ctx.ell_rng:
+            solved.append(r)
+        return solve(ctx, r, rng, ordering)
 
-    monkeypatch.setattr(controller, "replay_restricted_draws", checked)
+    def checked(dk, ordering=None):
+        solved.clear()
+        ell_hat, ell = estimate(dk, ordering)
+        # the trial after the last one solved, unless that one failed
+        nxt = 2 * ell_hat or 1
+        if nxt < min(dk.k, len(dk.S_init)) and solved[-1:] in ([], [ell_hat]):
+            removed = solve(dk, nxt, copy.deepcopy(dk.ell_rng), dk.ordering())
+            base = dk.X.cost(dk.S_init)
+            cost = dk.X.cost(dk.S_init - removed)
+            assert cost > dk.sched.ell_stop_factor * base, (nxt, cost, base)
+            seen["ruled out"] += 1
+        seen["solved"] += len(solved)
+        return ell_hat, ell
+
+    monkeypatch.setattr(controller, "restricted_kmeans", restricted)
+    monkeypatch.setattr(controller.DynamicKMeans, "_estimate_ell", checked)
     res = replay(name, UpdateStream.parse(
         (GOLDEN / f"{name}.stream").read_text()))
     assert mismatch(name, res.metrics_csv(),
                     (GOLDEN / f"{name}.csv").read_text(), res.summary_text(),
                     (GOLDEN / f"{name}.summary").read_text()) is None
-    assert seen["acted"] + seen["declined"] > 0, seen
+    assert seen["ruled out"] > 0, seen
 
 
 def regenerate(names=()):

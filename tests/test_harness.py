@@ -150,6 +150,16 @@ def test_overflowing_schedule_is_usage_error(tmp_path, capsys):
     assert "epsilon=1e-21 is too small" in err
 
 
+def test_run_huge_d_is_usage_error(tmp_path, capsys):
+    # Params rejects the dimension before any structure is built
+    path = tmp_path / "s.txt"
+    path.write_text("H d=4000 delta=8 n=1 k=2\n")
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert "d=4000 is too large" in err
+
+
 def test_run_stream_insertions_only_ratio_one():
     stream = gen_workload("uniform", 4, 2, 64, 4, ins_frac=1.0, seed=5)
     res = run_stream(stream, P, 4, baseline_every=2, time_source=fake_clock())
@@ -262,6 +272,50 @@ def test_cli_bench_smoke():
                          capture_output=True, text=True, env=ENV)
     assert out.returncode == 0, out.stderr
     assert "growth_alg=" in out.stdout and "growth_naive=" in out.stdout
+
+
+@pytest.mark.parametrize("n_small, n_large", [(0, 10), (49, 1000),
+                                              (100, 100), (200, 100)])
+def test_bench_sizes_without_a_growth_are_usage_errors(n_small, n_large,
+                                                       capsys):
+    # below 50 updates the recompute side takes no sample, and a growth
+    # needs a larger second size
+    assert cli.main(["bench", "--n-small", str(n_small),
+                     "--n-large", str(n_large)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "n_" in err
+
+
+def test_bench_d_and_delta_fall_back_to_config_then_params(tmp_path,
+                                                          monkeypatch):
+    seen = []
+
+    def growth(params, k, n_small, n_large, stream_seed):
+        seen.append((params.d, params.delta))
+        return {}
+
+    monkeypatch.setattr(cli, "measure_growth", growth)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("d=3\ndelta=64\n")
+    assert cli.main(["bench"]) == 0
+    assert cli.main(["--config", str(cfg), "bench"]) == 0
+    assert cli.main(["--config", str(cfg), "bench", "--d", "4",
+                     "--delta", "32"]) == 0
+    assert seen == [(Params().d, Params().delta), (3, 64), (4, 32)]
+
+
+def test_verify_seed_from_flag_then_config_then_zero(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed=7\n")
+    verify = ["verify", "--suite", "subroutines"]
+
+    def out(pre):
+        assert cli.main(pre + verify) == 0
+        return capsys.readouterr().out
+
+    flag = out(["--seed", "7"])
+    assert out(["--config", str(cfg)]) == flag
+    assert out(["--config", str(cfg), "--seed", "0"]) == out([]) != flag
 
 
 def test_cli_jl_and_config(tmp_path):
@@ -433,6 +487,18 @@ def test_ins_frac_defaults_to_0_7_and_changes_the_stream(mode, tmp_path):
     assert gen() != gen("--ins-frac", "0.2")
 
 
+def test_makerobust_cum_never_falls_across_swaps():
+    # after a swap the new primary's own count can be lower than the old
+    # one's; the column adds each update's calls by the primary it ran on
+    stream = gen_workload("clustered", 80, 2, 64, 3, seed=6)
+    res = run_stream(stream, Params(epsilon=0.5, d=2, delta=64, seed=0), 3,
+                     mode="sparsified", alpha=1.0)
+    assert res.summary["resets_total"] > 0
+    col = [row["makerobust_cum"] for row in res.rows]
+    assert col == sorted(col)
+    assert res.summary["makerobust_per_update"] == col[-1] / len(col)
+
+
 def test_run_stream_sched_with_sparsified_is_usage_error():
     stream = gen_workload("clustered", 20, 2, 64, 2, seed=1)
     with pytest.raises(UsageError, match="schedule"):
@@ -445,7 +511,8 @@ def test_run_stream_sched_with_sparsified_is_usage_error():
 RUN_OPTIONS = {
     "--k": ("2", ("direct", "sparsified")),
     "--baseline-every": ("7", ("direct", "sparsified")),
-    "--alpha": ("1.5", ("sparsified",)),
+    # on this stream 1.5 fires no swap; 1.2 fires 2, against none at 25
+    "--alpha": ("1.2", ("sparsified",)),
     # on this stream the grid reaches the run through d2_samples, which
     # goes from 1 to 2 at delta 256
     "--delta": ("256", ("direct", "sparsified")),

@@ -58,6 +58,14 @@ def test_schedule_overflow_is_usage_error():
         schedule_for(p)
 
 
+@pytest.mark.parametrize("d", [4000, 5000])
+def test_huge_d_is_usage_error(d):
+    # the default lambda_cap, 2^(d / gamma^(2/3)) times a prefactor,
+    # overflows a float from about d = 3,380 at gamma = 6
+    with pytest.raises(UsageError, match=f"d={d} is too large"):
+        Params(epsilon=0.5, d=d, delta=8)
+
+
 def test_aspect_and_levels():
     p = Params(epsilon=0.5, d=4, delta=128)
     assert math.isclose(p.aspect, 2 * 128)

@@ -11,8 +11,8 @@ from dynkmeans.params import Params
 from dynkmeans.rng import make_rng
 from dynkmeans.subroutines import (_EXHAUSTIVE_LIMIT, ClusterContext,
                                    _seed, _swap_costs, augmented_kmeans,
-                                   replay_restricted_draws, restricted_kmeans,
-                                   static_weighted_kmeans, weighted_kmeanspp)
+                                   restricted_kmeans, static_weighted_kmeans,
+                                   weighted_kmeanspp)
 
 P = Params(epsilon=0.5, d=2, delta=64, seed=41)
 
@@ -351,60 +351,6 @@ def test_restricted_with_given_ordering_is_unchanged():
             got = restricted_kmeans(ctx, r, r_given, ordering=ctx.ordering())
             assert got == want
             assert r_given.getstate() == r_plain.getstate()
-
-
-def _weighted_centers(rng, n, positive):
-    """n distinct centers, `positive` of them carrying points exactly at the
-    center (unit or fractional weight); a few zero-weight points sit on the
-    others, so their weight stays 0."""
-    S = set()
-    while len(S) < n:
-        S.add((rng.randint(1, 256), rng.randint(1, 256)))
-    S = sorted(S)
-    rng.shuffle(S)
-    pw = []
-    for i, c in enumerate(S):
-        if i < positive:
-            for _ in range(rng.randint(1, 3)):
-                pw.append((c, rng.choice((1.0, rng.random() + 0.01))))
-        elif rng.random() < 0.5:
-            pw.append((c, 0.0))
-    return pw, S
-
-
-def test_replayed_draws_match_a_real_restricted_call():
-    # whenever the replay acts, it leaves the generator where a real call
-    # leaves it; it acts only when 6r >= |S|, |S| <= _EXHAUSTIVE_LIMIT and
-    # at least |S| - r centers weigh more than zero
-    rng = make_rng(24, "replay")
-    acted = declined = 0
-    why = set()
-    cases = [(n, pos) for n in (2, 3, 5, 8, 12) for pos in range(n + 1)]
-    cases += [(_EXHAUSTIVE_LIMIT + 2, _EXHAUSTIVE_LIMIT + 2),
-              (_EXHAUSTIVE_LIMIT, _EXHAUSTIVE_LIMIT)]
-    for t, (n, positive) in enumerate(cases):
-        pw, S = _weighted_centers(rng, n, positive)
-        ctx = ClusterContext.from_instance(P, pw, S, seed_tag=("t15", t))
-        heavy = sum(1 for s in S if ctx.weight(s) > 0)
-        assert heavy == positive
-        rs = range(1, n) if n <= 12 else (n // 6, n // 6 + 1, n - 1)
-        for r in rs:
-            replayed, real = make_rng(25, t, r), make_rng(25, t, r)
-            before = replayed.getstate()
-            if replay_restricted_draws(ctx, r, replayed):
-                acted += 1
-                restricted_kmeans(ctx, r, real)
-                assert replayed.getstate() == real.getstate(), (t, r)
-                assert 6 * r >= n and n <= _EXHAUSTIVE_LIMIT
-                assert heavy >= n - r
-            else:
-                declined += 1
-                assert replayed.getstate() == before
-                why.add("sketch" if 6 * r < n else
-                        "size" if n > _EXHAUSTIVE_LIMIT else
-                        "weight" if heavy < n - r else "other")
-    assert acted and declined
-    assert why == {"sketch", "size", "weight"}
 
 
 def test_restricted_t2_ann_contract():

@@ -8,7 +8,7 @@ own package into this interpreter. Both are driven through perfbench's
 `perfbench/`) in alternating whole rounds, so machine noise falls on both
 sides alike. After the fill and after every round, the two sides must agree
 on the solution after every update, the recourse, the checkpoint cost
-ratios and the state of every controller's random generator (the
+ratios and the state of every controller's two random generators (the
 controller, or the runner's primary and verifiers), so a change in the
 number of draws shows at the round it happens in; any difference, or a
 failed benchmark check, exits 1. The summed
@@ -62,7 +62,7 @@ class Recording(Session):
 def rng_states(side: Recording) -> list:
     t = side.target
     controllers = [t.primary, *t.copies] if side.sparse else [t]
-    return [c.rng.getstate() for c in controllers]
+    return [(c.rng.getstate(), c.ell_rng.getstate()) for c in controllers]
 
 
 def differences(a: Recording, b: Recording) -> list:
